@@ -1,0 +1,202 @@
+package repro
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/core"
+	"repro/internal/crawler"
+	"repro/internal/logstore"
+	"repro/internal/measure"
+)
+
+// update rewrites the golden files instead of checking against them:
+//
+//	go test -run TestGolden -update .
+//
+// A digest should only move on purpose; record why in CHANGES.md.
+var update = flag.Bool("update", false, "rewrite testdata/golden instead of checking against it")
+
+// goldenPoints are the fixed survey configurations whose outputs are
+// anchored. Each is small enough to crawl in seconds and large enough that
+// every report artifact has rows.
+var goldenPoints = []struct {
+	name   string
+	sites  int
+	seed   int64
+	rounds int
+	cases  []measure.Case
+}{
+	{"sites48-seed7-rounds3-all", 48, 7, 3, measure.AllCases()},
+	{"sites40-seed11-rounds2-default-blocking", 40, 11, 2, []measure.Case{measure.CaseDefault, measure.CaseBlocking}},
+}
+
+// TestGolden anchors the survey's outputs to committed SHA-256 digests: the
+// CSV and binary encodings of the log, the full report rendered by a
+// log-built analysis over the CSV-decoded log (what report -log prints),
+// and the aggregate report rendered from the run's spill files (what
+// report -spills prints). Every engine, codec and analysis path is checked
+// against this fixed record rather than against another path of the same
+// code.
+func TestGolden(t *testing.T) {
+	for _, p := range goldenPoints {
+		t.Run(p.name, func(t *testing.T) {
+			study, err := core.NewStudy(core.Config{
+				Sites:    p.sites,
+				Seed:     p.seed,
+				Rounds:   p.rounds,
+				Cases:    p.cases,
+				Shards:   2,
+				SpillDir: t.TempDir(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer study.Close()
+			res, err := study.RunSurvey()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var csvLog, binLog bytes.Buffer
+			if err := (logstore.CSV{}).Encode(&csvLog, res.Log); err != nil {
+				t.Fatal(err)
+			}
+			if err := (logstore.Binary{}).Encode(&binLog, res.Log); err != nil {
+				t.Fatal(err)
+			}
+
+			decoded, err := logstore.Read(bytes.NewReader(csvLog.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var full bytes.Buffer
+			err = study.WriteReport(&full, &core.Results{
+				Log:      decoded,
+				Stats:    logStats(decoded),
+				Analysis: analysis.New(decoded, study.Registry),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			paths, err := core.SpillGlob(filepath.Join(study.Cfg.SpillDir, "*.spill"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromSpills, err := study.ResultsFromSpills(paths...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var agg bytes.Buffer
+			if err := study.WriteAggregateReport(&agg, fromSpills); err != nil {
+				t.Fatal(err)
+			}
+
+			got := []goldenEntry{
+				textEntry("csv-log", csvLog.Bytes(), "#case,"),
+				binaryEntry("binary-log", binLog.Bytes()),
+				textEntry("full-report", full.Bytes(), "Headline results"),
+				textEntry("aggregate-report", agg.Bytes(), "Headline results"),
+			}
+			checkGolden(t, filepath.Join("testdata", "golden", p.name+".txt"), p.name, got)
+		})
+	}
+}
+
+// logStats is Table 1's summary of a saved log, derived the way report
+// -log derives it.
+func logStats(l *measure.Log) *crawler.Stats {
+	s := &crawler.Stats{DomainsMeasured: l.MeasuredCount()}
+	s.DomainsFailed = len(l.Domains) - s.DomainsMeasured
+	for _, cl := range l.Cases {
+		s.PagesVisited += cl.PagesVisited
+		s.Invocations += cl.Invocations
+	}
+	s.InteractionSeconds = float64(s.PagesVisited) * 30
+	return s
+}
+
+// goldenEntry is one anchored artifact: its digest line plus a short
+// excerpt so a reviewer can see what the digest covers.
+type goldenEntry struct {
+	name, digest, excerpt string
+}
+
+func digestLine(name string, b []byte) string {
+	sum := sha256.Sum256(b)
+	return fmt.Sprintf("%s sha256=%s bytes=%d", name, hex.EncodeToString(sum[:]), len(b))
+}
+
+// textEntry excerpts a text artifact: six lines from the first one that
+// starts with from.
+func textEntry(name string, b []byte, from string) goldenEntry {
+	lines := strings.Split(string(b), "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, from) {
+			lines = lines[i:]
+			break
+		}
+	}
+	if len(lines) > 6 {
+		lines = lines[:6]
+	}
+	var ex strings.Builder
+	for _, l := range lines {
+		fmt.Fprintf(&ex, "  | %s\n", l)
+	}
+	return goldenEntry{name: name, digest: digestLine(name, b), excerpt: ex.String()}
+}
+
+// binaryEntry excerpts the first bytes of a binary artifact as hex.
+func binaryEntry(name string, b []byte) goldenEntry {
+	head := b
+	if len(head) > 32 {
+		head = head[:32]
+	}
+	return goldenEntry{name: name, digest: digestLine(name, b), excerpt: fmt.Sprintf("  | %s\n", hex.EncodeToString(head))}
+}
+
+// checkGolden compares the digests against the golden file (or rewrites
+// it under -update). Only the digest lines are compared; the excerpts are
+// for readers.
+func checkGolden(t *testing.T, path, point string, got []goldenEntry) {
+	t.Helper()
+	var file strings.Builder
+	fmt.Fprintf(&file, "# Golden digests for %s. Regenerate with: go test -run TestGolden -update .\n", point)
+	for _, e := range got {
+		file.WriteString(e.digest + "\n" + e.excerpt)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(file.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, " sha256="); ok && !strings.HasPrefix(line, " ") {
+			want[name] = line
+		}
+	}
+	for _, e := range got {
+		if want[e.name] != e.digest {
+			t.Errorf("%s moved:\n got %s\nwant %s", e.name, e.digest, want[e.name])
+		}
+	}
+}
