@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/alexa"
 	"repro/internal/cve"
@@ -12,91 +15,93 @@ import (
 	"repro/internal/webidl"
 )
 
-// Analysis joins a survey's measurements with the corpus it measured. It
-// has two data sources, and holds at least one of them:
+// Analysis joins a survey's measurements with the corpus it measured. Every
+// aggregate statistic — feature and standard popularity, block rates,
+// complexity, new standards per round — is read from one stats.Source:
+// the mergeable aggregate a pipeline maintained while the survey ran, one
+// folded from spill files or from a saved log, or an immutable snapshot of
+// one (the query server's epoch read path). The full per-visit Log, when
+// present, is read only by the per-site queries (SiteStandards,
+// VisitWeightedPopularity, HumanDelta); without it they return nil.
 //
-//   - Log, the full per-visit measurement log. Aggregate statistics are
-//     derived by scanning it ("cold"), and per-site queries
-//     (SiteStandards, VisitWeightedPopularity, HumanDelta) require it.
-//
-//   - Agg, a warm statistics source: a mergeable stats.Aggregate
-//     maintained incrementally while the survey ran (or folded from spill
-//     files), or an immutable stats.Snapshot of one (the query server's
-//     epoch read path). When present, every aggregate statistic is read
-//     from it directly — no rescan ("warm"). With no Log alongside (a
-//     spill-only run), per-site queries degrade gracefully: they return
-//     nil.
-//
-// Warm and cold construction produce identical results for every aggregate
-// method; the only documented difference is Complexity's element order
-// (its consumers are order-insensitive distributions).
+// An Analysis is safe for concurrent use when its Source is, as both
+// *stats.Aggregate and *stats.Snapshot are.
 type Analysis struct {
+	// Log is the full measurement log; nil when the survey kept none.
 	Log *measure.Log
 	Reg *webidl.Registry
-	// Agg is the warm statistics source; nil for a purely cold analysis.
+	// Agg answers every aggregate query.
 	Agg stats.Source
 
 	// stdOf[featureID] is the feature's standard, memoized.
 	stdOf []standards.Abbrev
-	// stdSitesCache memoizes per-case standard site counts.
-	stdSitesCache map[measure.Case]map[standards.Abbrev]int
-	// siteStdCache memoizes per-case, per-site standard sets.
+	// siteStdMu guards siteStdCache, the per-case, per-site standard sets
+	// the per-site queries share.
+	siteStdMu    sync.Mutex
 	siteStdCache map[measure.Case][]map[standards.Abbrev]bool
-	// featureSitesCache memoizes per-case feature site counts, so even
-	// the cold path scans the log at most once per case.
-	featureSitesCache map[measure.Case][]int
 }
 
-// New builds a cold analysis over a log and corpus.
+// New builds an analysis of a log: it folds the log into an aggregate
+// (stats.FromLog) that answers every aggregate query, and keeps the log for
+// the per-site ones. It accepts any log with at least one feature, as every
+// decoded log has, including one with cases outside measure.AllCases or
+// fewer features than reg.
 func New(log *measure.Log, reg *webidl.Registry) *Analysis {
-	return newAnalysis(log, nil, reg)
+	agg, err := stats.FromLog(log, logStandards(log, reg), logCases(log))
+	if err != nil {
+		// logStandards and logCases meet FromLog's preconditions, so only
+		// a featureless log, which no codec decodes, gets here.
+		panic(fmt.Sprintf("analysis: folding the log: %v", err))
+	}
+	return newAnalysis(log, agg, reg)
 }
 
-// FromStats builds a warm analysis directly from a statistics source — a
-// live mergeable aggregate or an immutable snapshot — no log, no rescan.
-// Aggregate methods match a cold analysis of the same survey exactly;
-// per-site methods return nil (reassemble the log from spill files when
-// they are needed).
+// FromStats builds an analysis directly from a statistics source — a live
+// mergeable aggregate or an immutable snapshot — with no log; per-site
+// methods return nil (reassemble the log from spill files when they are
+// needed).
 func FromStats(src stats.Source, reg *webidl.Registry) *Analysis {
 	return newAnalysis(nil, src, reg)
 }
 
 // NewWarm builds an analysis with both sources: aggregate statistics come
-// from the warm source, per-site queries from the log.
+// from src, per-site queries from the log. src must describe the same
+// survey as the log (a keep-log pipeline run returns both).
 func NewWarm(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
 	return newAnalysis(log, src, reg)
 }
 
 func newAnalysis(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
-	a := &Analysis{
-		Log:               log,
-		Agg:               src,
-		Reg:               reg,
-		stdOf:             make([]standards.Abbrev, len(reg.Features)),
-		stdSitesCache:     make(map[measure.Case]map[standards.Abbrev]int),
-		siteStdCache:      make(map[measure.Case][]map[standards.Abbrev]bool),
-		featureSitesCache: make(map[measure.Case][]int),
+	return &Analysis{
+		Log:          log,
+		Agg:          src,
+		Reg:          reg,
+		stdOf:        stats.StandardsOf(reg),
+		siteStdCache: make(map[measure.Case][]map[standards.Abbrev]bool),
 	}
-	for i, f := range reg.Features {
-		a.stdOf[i] = f.Standard
-	}
-	return a
 }
 
-// numSites returns the survey's site-list size.
-func (a *Analysis) numSites() int {
-	if a.Log != nil {
-		return len(a.Log.Domains)
-	}
-	return a.Agg.NumSites()
+// logStandards maps each of the log's features to its standard. Features
+// beyond reg's corpus (a log written against a larger one) map to the empty
+// standard, which no catalog entry names.
+func logStandards(log *measure.Log, reg *webidl.Registry) []standards.Abbrev {
+	stdOf := make([]standards.Abbrev, log.NumFeatures)
+	copy(stdOf, stats.StandardsOf(reg))
+	return stdOf
 }
 
-// measuredCount returns how many sites produced measurements.
-func (a *Analysis) measuredCount() int {
-	if a.Agg != nil {
-		return a.Agg.MeasuredCount()
+// logCases lists the survey's canonical cases, then any other case the log
+// holds in name order, so the aggregate tracks everything the log recorded.
+func logCases(log *measure.Log) []measure.Case {
+	cases := measure.AllCases()
+	var extra []measure.Case
+	for c := range log.Cases {
+		if !slices.Contains(cases, c) {
+			extra = append(extra, c)
+		}
 	}
-	return a.Log.MeasuredCount()
+	slices.Sort(extra)
+	return append(cases, extra...)
 }
 
 // SiteStandards returns, per site, the set of standards with at least one
@@ -106,6 +111,8 @@ func (a *Analysis) SiteStandards(c measure.Case) []map[standards.Abbrev]bool {
 	if a.Log == nil {
 		return nil
 	}
+	a.siteStdMu.Lock()
+	defer a.siteStdMu.Unlock()
 	if cached, ok := a.siteStdCache[c]; ok {
 		return cached
 	}
@@ -128,39 +135,13 @@ func (a *Analysis) SiteStandards(c measure.Case) []map[standards.Abbrev]bool {
 // StandardSites returns the number of sites using each standard under the
 // case ("standard popularity" numerators, §5.1).
 func (a *Analysis) StandardSites(c measure.Case) map[standards.Abbrev]int {
-	if cached, ok := a.stdSitesCache[c]; ok {
-		return cached
-	}
-	var out map[standards.Abbrev]int
-	if a.Agg != nil {
-		out = a.Agg.StandardSites(c)
-	} else {
-		out = make(map[standards.Abbrev]int)
-		for _, set := range a.SiteStandards(c) {
-			for std := range set {
-				out[std]++
-			}
-		}
-	}
-	a.stdSitesCache[c] = out
-	return out
+	return a.Agg.StandardSites(c)
 }
 
 // FeatureSites returns per-feature site counts under the case ("feature
-// popularity" numerators). Warm analyses read the incrementally maintained
-// counts; cold ones scan the log once per case and memoize.
+// popularity" numerators).
 func (a *Analysis) FeatureSites(c measure.Case) []int {
-	if cached, ok := a.featureSitesCache[c]; ok {
-		return cached
-	}
-	var out []int
-	if a.Agg != nil {
-		out = a.Agg.FeatureSites(c)
-	} else {
-		out = a.Log.FeatureSites(c)
-	}
-	a.featureSitesCache[c] = out
-	return out
+	return a.Agg.FeatureSites(c)
 }
 
 // FeatureBands summarizes §5.3: how many corpus features were never seen,
@@ -183,7 +164,7 @@ func (a *Analysis) Bands(c measure.Case) FeatureBands {
 	// 1% of the ranking, with a floor of 2 so the band stays meaningful
 	// at sub-paper scales (a threshold of 1 would make "used on fewer
 	// than 1% of sites" unsatisfiable for used features).
-	threshold := a.numSites() / 100
+	threshold := a.Agg.NumSites() / 100
 	if threshold < 2 {
 		threshold = 2
 	}
@@ -217,36 +198,14 @@ type BlockRate struct {
 // standard by default, the fraction on which no feature of the standard
 // executed with blocking installed.
 func (a *Analysis) BlockRates(blockingCase measure.Case) map[standards.Abbrev]BlockRate {
-	if a.Agg != nil {
-		def := a.StandardSites(measure.CaseDefault)
-		blocked := a.Agg.BlockedSites(blockingCase)
-		out := make(map[standards.Abbrev]BlockRate)
-		for _, std := range standards.Catalog() {
-			br := BlockRate{
-				Standard:     std.Abbrev,
-				DefaultSites: def[std.Abbrev],
-				BlockedSites: blocked[std.Abbrev],
-			}
-			if br.DefaultSites > 0 {
-				br.Rate = float64(br.BlockedSites) / float64(br.DefaultSites)
-			}
-			out[std.Abbrev] = br
-		}
-		return out
-	}
-	def := a.SiteStandards(measure.CaseDefault)
-	blk := a.SiteStandards(blockingCase)
+	def := a.StandardSites(measure.CaseDefault)
+	blocked := a.Agg.BlockedSites(blockingCase)
 	out := make(map[standards.Abbrev]BlockRate)
 	for _, std := range standards.Catalog() {
-		br := BlockRate{Standard: std.Abbrev}
-		for site := range def {
-			if def[site] == nil || !def[site][std.Abbrev] {
-				continue
-			}
-			br.DefaultSites++
-			if blk[site] == nil || !blk[site][std.Abbrev] {
-				br.BlockedSites++
-			}
+		br := BlockRate{
+			Standard:     std.Abbrev,
+			DefaultSites: def[std.Abbrev],
+			BlockedSites: blocked[std.Abbrev],
 		}
 		if br.DefaultSites > 0 {
 			br.Rate = float64(br.BlockedSites) / float64(br.DefaultSites)
@@ -256,22 +215,12 @@ func (a *Analysis) BlockRates(blockingCase measure.Case) map[standards.Abbrev]Bl
 	return out
 }
 
-// Complexity returns, per measured site, the number of standards used in
-// the default case (§5.9 / Figure 8). With a log the series is in site
-// order; a purely warm analysis returns the same multiset ascending (its
-// consumers — histograms, CDFs — are order-insensitive).
+// Complexity returns, per measured site with default-case observations, the
+// number of standards used in the default case (§5.9 / Figure 8), in
+// ascending order (its consumers — histograms, CDFs — are
+// order-insensitive).
 func (a *Analysis) Complexity() []int {
-	if a.Log == nil {
-		return a.Agg.Complexity()
-	}
-	var out []int
-	for site, set := range a.SiteStandards(measure.CaseDefault) {
-		if !a.Log.Measured[site] || set == nil {
-			continue
-		}
-		out = append(out, len(set))
-	}
-	return out
+	return a.Agg.Complexity()
 }
 
 // StandardPopularityCDF computes Figure 3: the cumulative distribution of
@@ -355,6 +304,9 @@ func (a *Analysis) AgeSeries(hist *firefoxhist.History) []AgePoint {
 	var out []AgePoint
 	for _, std := range standards.Catalog() {
 		rel, ok := hist.StandardDate(std.Abbrev, func(f *webidl.Feature) int {
+			if f.ID >= len(featureSites) {
+				return 0 // a log of a smaller corpus never saw the feature
+			}
 			return featureSites[f.ID]
 		})
 		if !ok {
@@ -419,7 +371,7 @@ func (a *Analysis) Table2(db *cve.Database) []Table2Row {
 	sites := a.StandardSites(measure.CaseDefault)
 	rates := a.BlockRates(measure.CaseBlocking)
 	perCVE := db.PerStandard()
-	onePct := a.numSites() / 100
+	onePct := a.Agg.NumSites() / 100
 	if onePct < 1 {
 		onePct = 1
 	}
@@ -446,50 +398,10 @@ func (a *Analysis) Table2(db *cve.Database) []Table2Row {
 }
 
 // NewStandardsPerRound computes Table 3: the average number of standards
-// first observed in each round of the default case, across measured sites.
-// Warm analyses read the incrementally folded per-round sums.
+// first observed in each round of the default case, across measured sites
+// (nil when the default case was never observed).
 func (a *Analysis) NewStandardsPerRound() []float64 {
-	if a.Agg != nil {
-		return a.Agg.NewStandardsPerRound()
-	}
-	cl := a.Log.Cases[measure.CaseDefault]
-	if cl == nil {
-		return nil
-	}
-	perRound := make([]float64, len(cl.Rounds))
-	measured := 0
-	for site := range a.Log.Domains {
-		if !a.Log.Measured[site] {
-			continue
-		}
-		visited := false
-		seen := make(map[standards.Abbrev]bool)
-		for round, rl := range cl.Rounds {
-			sf := rl.SiteFeatures[site]
-			if sf == nil {
-				continue
-			}
-			visited = true
-			newStd := 0
-			for id := 0; id < a.Log.NumFeatures; id++ {
-				if sf.Get(id) && !seen[a.stdOf[id]] {
-					seen[a.stdOf[id]] = true
-					newStd++
-				}
-			}
-			perRound[round] += float64(newStd)
-		}
-		if visited {
-			measured++
-		}
-	}
-	if measured == 0 {
-		return perRound
-	}
-	for i := range perRound {
-		perRound[i] /= float64(measured)
-	}
-	return perRound
+	return a.Agg.NewStandardsPerRound()
 }
 
 // HumanDelta compares one site's manually-observed standards against the

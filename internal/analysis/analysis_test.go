@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/crawler"
@@ -290,5 +291,37 @@ func TestUsedStandards(t *testing.T) {
 	}
 	if blk > def {
 		t.Errorf("blocking used %d standards > default %d", blk, def)
+	}
+}
+
+// TestNewAcceptsAnyLog folds a log the survey itself never writes — a case
+// outside measure.AllCases, no default case, fewer features than the
+// registry — and answers it like any other.
+func TestNewAcceptsAnyLog(t *testing.T) {
+	_, shared := surveyed(t)
+	reg := shared.Reg
+	log := measure.NewLog(10, []string{"a.example", "b.example"})
+	sf := measure.NewBitset(10)
+	sf.Set(0)
+	sf.Set(9)
+	log.EnsureRound("custom", 1).SiteFeatures[1] = sf
+	log.Measured[1] = true
+
+	a := New(log, reg)
+	if got := len(a.FeatureSites("custom")); got != 10 {
+		t.Errorf("FeatureSites covers %d features, want the log's 10", got)
+	}
+	want := map[standards.Abbrev]int{reg.Features[0].Standard: 1, reg.Features[9].Standard: 1}
+	if got := a.StandardSites("custom"); !reflect.DeepEqual(got, want) {
+		t.Errorf("StandardSites(custom) = %v, want %v", got, want)
+	}
+	if got := a.Agg.MeasuredCount(); got != 1 {
+		t.Errorf("MeasuredCount = %d, want 1", got)
+	}
+	if got := a.NewStandardsPerRound(); got != nil {
+		t.Errorf("NewStandardsPerRound = %v without a default case, want nil", got)
+	}
+	if got := len(a.AgeSeries(sharedHist)); got != standards.Count() {
+		t.Errorf("AgeSeries has %d points, want one per standard (%d)", got, standards.Count())
 	}
 }

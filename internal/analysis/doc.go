@@ -5,16 +5,18 @@
 // Figure 6), CVE association (Table 2), and the internal/external
 // validation statistics (§6).
 //
-// An Analysis is built three ways. New(log, reg) is the cold path: every
-// aggregate statistic is derived by scanning the measure.Log (once, then
-// memoized). FromStats(agg, reg) is the warm path: the statistics are read
-// straight from a mergeable stats.Aggregate that the pipeline maintained
-// while the survey ran — or that stats.FromSpills folded from spill files —
-// with no log and no rescan; the per-site methods (SiteStandards,
-// VisitWeightedPopularity, HumanDelta) then degrade to nil. NewWarm(log,
-// agg, reg) combines both: warm aggregate statistics plus log-backed
-// per-site queries. Warm and cold construction return identical results
-// for every aggregate method (enforced by TestWarmAnalysisMatchesCold).
+// Every aggregate statistic is read from one stats.Source, whichever
+// constructor built the Analysis. FromStats(src, reg) takes a mergeable
+// stats.Aggregate that the pipeline maintained while the survey ran (or
+// that stats.FromSpills folded from spill files), or an epoch snapshot of
+// one; with no log, the per-site methods (SiteStandards,
+// VisitWeightedPopularity, HumanDelta) return nil. New(log, reg) folds a
+// measure.Log into an aggregate with stats.FromLog and keeps the log for
+// the per-site methods; NewWarm(log, src, reg) pairs a log with an
+// aggregate the caller already has. The per-site methods are the only code
+// that reads the log. Both folds are checked against a reference scan of
+// the log kept in a test file (TestWarmAnalysisMatchesCold), and an
+// Analysis is safe for concurrent use when its Source is.
 //
 // Analysis consumes only measured data — never the synthetic web's
 // calibration profile — so the same code analyzes logs from the sequential

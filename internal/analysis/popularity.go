@@ -23,7 +23,7 @@ type PopularFeature struct {
 // by site count (ties broken by feature ID for determinism).
 func (a *Analysis) TopFeatures(c measure.Case, n int) []PopularFeature {
 	siteCounts := a.FeatureSites(c)
-	measured := a.measuredCount()
+	measured := a.Agg.MeasuredCount()
 	rows := make([]PopularFeature, 0, len(siteCounts))
 	for id, sites := range siteCounts {
 		if sites == 0 {

@@ -41,6 +41,7 @@ func (CSV) Encode(w io.Writer, l *measure.Log) error {
 	for i, d := range l.Domains {
 		fmt.Fprintf(bw, "#domain,%d,%s,%v\n", i, d, l.Measured[i])
 	}
+	var row []byte
 	for _, cs := range sortedCases(l) {
 		cl := l.Cases[measure.Case(cs)]
 		fmt.Fprintf(bw, "#case,%s,%d,%d,%d\n", cs, len(cl.Rounds), cl.Invocations, cl.PagesVisited)
@@ -52,13 +53,22 @@ func (CSV) Encode(w io.Writer, l *measure.Log) error {
 				if sf == nil {
 					continue
 				}
-				var ids []string
-				bitsetRuns(sf, l.NumFeatures, func(start, run int) {
-					for id := start; id < start+run; id++ {
-						ids = append(ids, strconv.Itoa(id))
+				row = append(row[:0], cs...)
+				row = append(row, ',')
+				row = strconv.AppendInt(row, int64(round), 10)
+				row = append(row, ',')
+				row = strconv.AppendInt(row, int64(site), 10)
+				row = append(row, ',')
+				sep := false
+				sf.ForEach(l.NumFeatures, func(id int) {
+					if sep {
+						row = append(row, ' ')
 					}
+					row = strconv.AppendInt(row, int64(id), 10)
+					sep = true
 				})
-				fmt.Fprintf(bw, "%s,%d,%d,%s\n", cs, round, site, strings.Join(ids, " "))
+				row = append(row, '\n')
+				bw.Write(row)
 			}
 		}
 	}

@@ -2,7 +2,11 @@ package logstore
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/measure"
@@ -45,11 +49,54 @@ func fuzzRoundTrip(t *testing.T, c Codec, data []byte) {
 	}
 }
 
+// FuzzRoundTripCSV also checks that the encoder writes exactly what the
+// format's reference writer does, byte for byte.
 func FuzzRoundTripCSV(f *testing.F) {
 	seedCorpus(f, CSV{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, CSV{}, data)
+		l, err := CSV{}.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var got, want bytes.Buffer
+		if err := (CSV{}).Encode(&got, l); err != nil {
+			t.Fatal(err)
+		}
+		referenceCSV(&want, l)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("csv encoding diverges from the reference writer:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		}
 	})
+}
+
+// referenceCSV is the CSV format written the plain way, one fmt call per
+// line with its feature IDs joined as strings: the byte-for-byte reference
+// for CSV.Encode.
+func referenceCSV(w io.Writer, l *measure.Log) {
+	fmt.Fprintf(w, "%s%d\n", csvMagic, l.NumFeatures)
+	fmt.Fprintf(w, "#domains,%d\n", len(l.Domains))
+	for i, d := range l.Domains {
+		fmt.Fprintf(w, "#domain,%d,%s,%v\n", i, d, l.Measured[i])
+	}
+	for _, cs := range sortedCases(l) {
+		cl := l.Cases[measure.Case(cs)]
+		fmt.Fprintf(w, "#case,%s,%d,%d,%d\n", cs, len(cl.Rounds), cl.Invocations, cl.PagesVisited)
+		for round, rl := range cl.Rounds {
+			for site, sf := range rl.SiteFeatures {
+				if sf == nil {
+					continue
+				}
+				var ids []string
+				for id := 0; id < l.NumFeatures; id++ {
+					if sf.Get(id) {
+						ids = append(ids, strconv.Itoa(id))
+					}
+				}
+				fmt.Fprintf(w, "%s,%d,%d,%s\n", cs, round, site, strings.Join(ids, " "))
+			}
+		}
+	}
 }
 
 func FuzzRoundTripBinary(f *testing.F) {

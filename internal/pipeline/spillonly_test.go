@@ -152,11 +152,11 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 	}
 }
 
-// TestWarmAnalysisMatchesCold is the warm-start acceptance test: an
-// analysis built purely from the pipeline's stats aggregate must return
-// identical results to a cold analysis scanning the baseline log, across
-// every aggregate method — and an analysis holding both sources must agree
-// on the per-site methods too.
+// TestWarmAnalysisMatchesCold is the warm-start acceptance test: both
+// aggregate paths into an analysis — the pipeline's live aggregate and the
+// fold of the baseline log that analysis.New builds — must answer every
+// aggregate method exactly as the reference scan of the baseline log does,
+// and an analysis holding a log must answer the per-site methods from it.
 func TestWarmAnalysisMatchesCold(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{
@@ -173,77 +173,89 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 	}
 
 	reg := testWeb.Registry
-	cold := analysis.New(baseLog, reg)
-	warm := analysis.FromStats(res.Agg, reg)
+	scan := scanSource{log: baseLog, stdOf: stats.StandardsOf(reg), cases: measure.AllCases()}
+	if diffs := sourceDiffs(res.Agg, scan); len(diffs) > 0 {
+		t.Errorf("pipeline aggregate diverges from the reference scan on %v", diffs)
+	}
+	ref := analysis.FromStats(scan, reg)
 	db := cve.Generate(1)
 	hist := firefoxhist.New(reg)
 
-	for _, cs := range measure.AllCases() {
-		if !reflect.DeepEqual(warm.FeatureSites(cs), cold.FeatureSites(cs)) {
-			t.Errorf("FeatureSites(%s) diverges warm vs cold", cs)
+	for _, fold := range []struct {
+		name string
+		a    *analysis.Analysis
+	}{
+		{"pipeline aggregate", analysis.FromStats(res.Agg, reg)},
+		{"log fold", analysis.New(baseLog, reg)},
+	} {
+		a := fold.a
+		for _, cs := range measure.AllCases() {
+			if !reflect.DeepEqual(a.FeatureSites(cs), ref.FeatureSites(cs)) {
+				t.Errorf("%s: FeatureSites(%s) diverges from the scan", fold.name, cs)
+			}
+			if !reflect.DeepEqual(a.StandardSites(cs), ref.StandardSites(cs)) {
+				t.Errorf("%s: StandardSites(%s) diverges from the scan", fold.name, cs)
+			}
+			if a.Bands(cs) != ref.Bands(cs) {
+				t.Errorf("%s: Bands(%s) diverges from the scan", fold.name, cs)
+			}
+			if !reflect.DeepEqual(a.BlockRates(cs), ref.BlockRates(cs)) {
+				t.Errorf("%s: BlockRates(%s) diverges from the scan", fold.name, cs)
+			}
+			if a.UsedStandards(cs) != ref.UsedStandards(cs) {
+				t.Errorf("%s: UsedStandards(%s) diverges from the scan", fold.name, cs)
+			}
 		}
-		if !reflect.DeepEqual(warm.StandardSites(cs), cold.StandardSites(cs)) {
-			t.Errorf("StandardSites(%s) diverges warm vs cold", cs)
+		// BlockRates against a case the survey never ran: everything
+		// blocked.
+		if !reflect.DeepEqual(a.BlockRates("never-ran"), ref.BlockRates("never-ran")) {
+			t.Errorf("%s: BlockRates(untracked) diverges from the scan", fold.name)
 		}
-		if warm.Bands(cs) != cold.Bands(cs) {
-			t.Errorf("Bands(%s) diverges warm vs cold", cs)
-		}
-		if !reflect.DeepEqual(warm.BlockRates(cs), cold.BlockRates(cs)) {
-			t.Errorf("BlockRates(%s) diverges warm vs cold", cs)
-		}
-		if warm.UsedStandards(cs) != cold.UsedStandards(cs) {
-			t.Errorf("UsedStandards(%s) diverges warm vs cold", cs)
-		}
-	}
-	// BlockRates against a case the survey never ran: everything blocked,
-	// both paths.
-	if !reflect.DeepEqual(warm.BlockRates("never-ran"), cold.BlockRates("never-ran")) {
-		t.Error("BlockRates(untracked) diverges warm vs cold")
-	}
 
-	coldComplexity := append([]int(nil), cold.Complexity()...)
-	sort.Ints(coldComplexity)
-	if !reflect.DeepEqual(warm.Complexity(), coldComplexity) {
-		t.Error("Complexity multiset diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.StandardPopularityCDF(), cold.StandardPopularityCDF()) {
-		t.Error("StandardPopularityCDF diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.NewStandardsPerRound(), cold.NewStandardsPerRound()) {
-		t.Error("NewStandardsPerRound diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.Table2(db), cold.Table2(db)) {
-		t.Error("Table2 diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.AgeSeries(hist), cold.AgeSeries(hist)) {
-		t.Error("AgeSeries diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.AdVsTrackerRates(), cold.AdVsTrackerRates()) {
-		t.Error("AdVsTrackerRates diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(warm.TopFeatures(measure.CaseDefault, 0), cold.TopFeatures(measure.CaseDefault, 0)) {
-		t.Error("TopFeatures diverges warm vs cold")
-	}
-	if !reflect.DeepEqual(
-		warm.FeatureDeltas(measure.CaseDefault, measure.CaseBlocking, 0),
-		cold.FeatureDeltas(measure.CaseDefault, measure.CaseBlocking, 0),
-	) {
-		t.Error("FeatureDeltas diverges warm vs cold")
+		refComplexity := ref.Complexity()
+		sort.Ints(refComplexity)
+		if !reflect.DeepEqual(a.Complexity(), refComplexity) {
+			t.Errorf("%s: Complexity multiset diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.StandardPopularityCDF(), ref.StandardPopularityCDF()) {
+			t.Errorf("%s: StandardPopularityCDF diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.NewStandardsPerRound(), ref.NewStandardsPerRound()) {
+			t.Errorf("%s: NewStandardsPerRound diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.Table2(db), ref.Table2(db)) {
+			t.Errorf("%s: Table2 diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.AgeSeries(hist), ref.AgeSeries(hist)) {
+			t.Errorf("%s: AgeSeries diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.AdVsTrackerRates(), ref.AdVsTrackerRates()) {
+			t.Errorf("%s: AdVsTrackerRates diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(a.TopFeatures(measure.CaseDefault, 0), ref.TopFeatures(measure.CaseDefault, 0)) {
+			t.Errorf("%s: TopFeatures diverges from the scan", fold.name)
+		}
+		if !reflect.DeepEqual(
+			a.FeatureDeltas(measure.CaseDefault, measure.CaseBlocking, 0),
+			ref.FeatureDeltas(measure.CaseDefault, measure.CaseBlocking, 0),
+		) {
+			t.Errorf("%s: FeatureDeltas diverges from the scan", fold.name)
+		}
 	}
 
 	// Per-site methods degrade to nil without a log...
+	warm := analysis.FromStats(res.Agg, reg)
 	if warm.SiteStandards(measure.CaseDefault) != nil {
 		t.Error("warm-only SiteStandards should be nil")
 	}
 	if warm.VisitWeightedPopularity(testWeb.Ranking) != nil {
 		t.Error("warm-only VisitWeightedPopularity should be nil")
 	}
-	// ...and an analysis holding both sources matches cold on them.
+	// ...and read the log when there is one, whichever aggregate answers
+	// the rest.
 	both := analysis.NewWarm(res.Log, res.Agg, reg)
-	if !reflect.DeepEqual(both.VisitWeightedPopularity(testWeb.Ranking), cold.VisitWeightedPopularity(testWeb.Ranking)) {
-		t.Error("VisitWeightedPopularity diverges warm-with-log vs cold")
-	}
-	if !reflect.DeepEqual(both.Complexity(), cold.Complexity()) {
-		t.Error("Complexity diverges warm-with-log vs cold (site order should match)")
+	fromLog := analysis.New(baseLog, reg)
+	if !reflect.DeepEqual(both.VisitWeightedPopularity(testWeb.Ranking), fromLog.VisitWeightedPopularity(testWeb.Ranking)) {
+		t.Error("VisitWeightedPopularity diverges between the pipeline's log and the baseline log")
 	}
 }

@@ -143,6 +143,57 @@ func TestConvoyCollapses(t *testing.T) {
 	}
 }
 
+// TestDistinctRendersRunConcurrently proves that renders of different
+// URLs at one epoch run in parallel up to the render gate: each render's
+// hook holds it open until the other render has started too, so renders
+// that took turns would leave the first one waiting out its deadline.
+// Under -race it also checks that the two renders share the epoch's
+// analysis safely.
+func TestDistinctRendersRunConcurrently(t *testing.T) {
+	var started sync.WaitGroup
+	started.Add(2)
+	both := make(chan struct{})
+	go func() {
+		started.Wait()
+		close(both)
+	}()
+	var waitedAlone atomic.Bool
+	ts, agg := emptyServerCfg(t, func(cfg *serve.Config) {
+		cfg.MaxRenders = 2
+		cfg.RenderHook = func(string) {
+			started.Done()
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+				waitedAlone.Store(true)
+			}
+		}
+	})
+	advanceEpoch(t, agg, 3)
+
+	var wg sync.WaitGroup
+	for _, path := range []string{"/report", "/api/standards?case=blocking"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			resp, err := ts.Client().Get(ts.URL + path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			io.Copy(io.Discard, resp.Body)
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+				t.Errorf("%s: status %d, X-Cache %q; want an uncached 200", path, resp.StatusCode, resp.Header.Get("X-Cache"))
+			}
+		}(path)
+	}
+	wg.Wait()
+	if waitedAlone.Load() {
+		t.Error("a render waited 5s for the other to start: renders of one epoch ran one at a time")
+	}
+}
+
 // TestRateLimit drives the token bucket on a fake clock: burst spends
 // down to a 429 with the exact Retry-After, refill restores service at
 // the configured rate, and operator paths are exempt.

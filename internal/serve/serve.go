@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,13 +96,12 @@ type Server struct {
 
 // epochView is everything derived from one snapshot epoch: the immutable
 // snapshot itself plus the warm analysis over it, built once and shared by
-// every query of the epoch. The analysis memoizes per-case products
-// lazily, so uncached computes are serialized by mu; cached queries never
-// touch it.
+// every query of the epoch. The analysis reads only the snapshot, so
+// renders of different queries at one epoch run in parallel, up to the
+// render gate.
 type epochView struct {
 	snap *stats.Snapshot
 	res  *core.Results
-	mu   sync.Mutex
 }
 
 // New builds a query server around a study and its resident aggregate.
@@ -289,9 +287,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, endpoint str
 		if s.renderHook != nil {
 			s.renderHook(endpoint)
 		}
-		v.mu.Lock()
 		body, contentType, err := render(v, p)
-		v.mu.Unlock()
 		if err != nil {
 			return cacheEntry{}, err
 		}

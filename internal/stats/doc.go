@@ -1,16 +1,15 @@
 // Package stats is the mergeable statistics layer of the survey: a
 // lock-striped, concurrently fed Aggregate that maintains — incrementally,
-// as visits complete — every aggregate number internal/analysis otherwise
-// derives by scanning a full measure.Log: per-case feature-site counts,
-// standard-site counts, blocked-vs-unblocked pair tallies, site-complexity
-// tallies, and new-standards-per-round sums.
+// as visits complete — every aggregate number internal/analysis reports:
+// per-case feature-site counts, standard-site counts, blocked-vs-unblocked
+// pair tallies, site-complexity tallies, and new-standards-per-round sums.
 //
 // The Aggregate is what makes two execution modes share one analysis path:
 //
 //   - Keep-log mode (Config.KeepLog) additionally retains every visit's
 //     feature set, so Log() can freeze the exact measure.Log the sequential
-//     crawler would have produced. Analysis built from the Aggregate starts
-//     warm — no rescan — while per-site queries fall back to the Log.
+//     crawler would have produced. Analysis reads its aggregate numbers
+//     from the Aggregate and only its per-site queries from the Log.
 //
 //   - Spill-only mode drops the per-visit grid entirely: memory stays
 //     bounded regardless of site count because a site's state lives only in
@@ -34,5 +33,21 @@
 // visit is in, EndSite folds the site's unions into the derived tallies and
 // discards its accumulator. Calls for the same site must be ordered (the
 // pipeline guarantees this by assigning each site to one worker); calls for
-// different sites may race freely — they synchronize on stripe locks.
+// different sites may race freely — they synchronize on stripe locks. The
+// aggregate never writes a Visit's Features: it clones the first set of
+// each case into the site's union and only reads the rest, so a caller may
+// pass bitsets it still owns (FromLog passes the log's own cells) as long
+// as it does not change them before the site is folded.
+//
+// Standards are tallied over a dense table: New numbers the distinct
+// standards of Config.Standards in sorted-name order, the per-standard
+// tallies are slices indexed by that number, and the fold builds each
+// case's standard set as a bitset over it in scratch the aggregate owns —
+// block pairs count the bits of default &^ case, complexity is the default
+// set's popcount, and a round's new standards are the popcount of
+// round &^ seen — so folding a site allocates nothing. The query methods
+// expand a tally into a map by standard only when asked. Merge refuses two
+// aggregates whose standard tables differ, since their indices would name
+// different standards. FromLog folds a saved measure.Log through the same
+// path; it is how internal/analysis answers aggregate queries over a log.
 package stats

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/measure"
 	"repro/internal/standards"
@@ -9,11 +10,14 @@ import (
 
 // FromLog folds a full measurement log into a fresh spill-only Aggregate by
 // replaying every recorded visit through the same AddVisit/AddFailure/
-// EndSite path a live shard uses, then restoring the log's exact
-// invocation/page totals (a log keeps per-case sums, not per-visit ones).
-// The resulting aggregate answers every aggregate query identically to a
-// cold analysis of the same log — it is how the query server warms up from
-// a saved log instead of spill files.
+// EndSite path a live shard uses, then restoring what a log keeps only in
+// total: each case's invocation and page sums and its round count. The
+// resulting aggregate answers every aggregate query identically to a scan
+// of the same log. It is the one aggregate path behind an analysis of a
+// saved log and the query server's warm-up from one.
+//
+// The visits carry the log's own bitsets, uncloned: the aggregate only
+// reads them (see Visit), so the log is left as it was.
 //
 // stdOf is the per-feature standard mapping (see StandardsOf) and must
 // match the log's corpus size. cases must cover every case the log holds; a
@@ -23,14 +27,7 @@ func FromLog(log *measure.Log, stdOf []standards.Abbrev, cases []measure.Case) (
 		return nil, fmt.Errorf("stats: %d standards mappings for a %d-feature log", len(stdOf), log.NumFeatures)
 	}
 	for c := range log.Cases {
-		found := false
-		for _, want := range cases {
-			if c == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(cases, c) {
 			return nil, fmt.Errorf("stats: log case %q not in the aggregate's case set", c)
 		}
 	}
@@ -44,53 +41,64 @@ func FromLog(log *measure.Log, stdOf []standards.Abbrev, cases []measure.Case) (
 	if err != nil {
 		return nil, err
 	}
+	caseLogs := make([]*measure.CaseLog, len(cases))
+	for ci, c := range cases {
+		caseLogs[ci] = log.Cases[c]
+	}
+	// unobserved counts sites the log marks measured without a single
+	// observation: no visit can carry them, but a scan of the log counts
+	// them as measured.
+	unobserved := 0
 	for site := range log.Domains {
 		touched := false
-		for _, c := range cases {
-			cl := log.Cases[c]
+		for ci, cl := range caseLogs {
 			if cl == nil {
 				continue
 			}
-			for round := range cl.Rounds {
-				sf := cl.Rounds[round].SiteFeatures[site]
+			for round, rl := range cl.Rounds {
+				sf := rl.SiteFeatures[site]
 				if sf == nil {
 					continue
 				}
 				touched = true
-				err := agg.AddVisit(Visit{
-					Case:     c,
-					Round:    round,
-					Site:     site,
-					Features: sf.Clone(),
-				})
+				err := agg.AddVisit(Visit{Case: cases[ci], Round: round, Site: site, Features: sf})
 				if err != nil {
 					return nil, err
 				}
 			}
 		}
-		if touched && !log.Measured[site] {
+		if !touched {
+			if log.Measured[site] {
+				unobserved++
+			}
+			continue
+		}
+		if !log.Measured[site] {
 			// Observations but not measured: one of the site's visits
 			// failed, exactly what AddFailure records.
 			if err := agg.AddFailure(site); err != nil {
 				return nil, err
 			}
 		}
-		if touched {
-			if err := agg.EndSite(site); err != nil {
-				return nil, err
-			}
+		if err := agg.EndSite(site); err != nil {
+			return nil, err
 		}
 	}
 	// Replayed visits carried no invocation/page counts (the log only has
-	// per-case totals); restore those sums directly.
+	// per-case totals), and a round no site reached leaves no visit behind;
+	// restore both from the log directly.
 	st := &agg.stripes[0]
 	st.mu.Lock()
-	for ci, c := range agg.cfg.Cases {
-		if cl := log.Cases[c]; cl != nil {
+	for ci, cl := range caseLogs {
+		if cl != nil {
 			st.invocations[ci] = cl.Invocations
 			st.pages[ci] = cl.PagesVisited
+			st.maxRound[ci] = len(cl.Rounds) - 1
 		}
 	}
 	st.mu.Unlock()
+	agg.foldMu.Lock()
+	agg.measured += unobserved
+	agg.foldMu.Unlock()
 	return agg, nil
 }

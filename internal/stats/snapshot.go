@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/measure"
 	"repro/internal/standards"
@@ -58,10 +58,13 @@ type Snapshot struct {
 	maxRound    []int
 	openSites   int
 
+	// stdNames is the aggregate's dense standard table, shared: it never
+	// changes after New. The per-standard tallies are copies.
+	stdNames     []standards.Abbrev
 	featureSites [][]int
-	stdSites     []map[standards.Abbrev]int
-	blockedPairs []map[standards.Abbrev]int
-	complexity   map[int]int
+	stdSites     [][]int
+	blockedPairs [][]int
+	complexity   []int
 	nspSums      []int64
 	nspMeasured  int
 	measured     int
@@ -122,15 +125,11 @@ func (s *Snapshot) FeatureSites(c measure.Case) []int {
 // StandardSites returns the number of sites using each standard under the
 // case.
 func (s *Snapshot) StandardSites(c measure.Case) map[standards.Abbrev]int {
-	out := make(map[standards.Abbrev]int)
 	ci, ok := s.caseIdx[c]
 	if !ok {
-		return out
+		return make(map[standards.Abbrev]int)
 	}
-	for std, n := range s.stdSites[ci] {
-		out[std] = n
-	}
-	return out
+	return countsByName(s.stdNames, s.stdSites[ci])
 }
 
 // BlockedSites returns the per-standard block-rate numerators against the
@@ -141,24 +140,13 @@ func (s *Snapshot) BlockedSites(c measure.Case) map[standards.Abbrev]int {
 	if !ok {
 		return s.StandardSites(measure.CaseDefault)
 	}
-	out := make(map[standards.Abbrev]int)
-	for std, n := range s.blockedPairs[ci] {
-		out[std] = n
-	}
-	return out
+	return countsByName(s.stdNames, s.blockedPairs[ci])
 }
 
 // Complexity returns the standards-per-measured-site multiset, ascending —
 // the same series Aggregate.Complexity returns.
 func (s *Snapshot) Complexity() []int {
-	var out []int
-	for n, count := range s.complexity {
-		for i := 0; i < count; i++ {
-			out = append(out, n)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return expandComplexity(s.complexity)
 }
 
 // NewStandardsPerRound returns Table 3's series as of the snapshot.
@@ -253,24 +241,16 @@ func (a *Aggregate) publishLocked() *Snapshot {
 	}
 
 	a.foldMu.Lock()
+	s.stdNames = a.stdNames
 	s.featureSites = make([][]int, len(a.cfg.Cases))
-	s.stdSites = make([]map[standards.Abbrev]int, len(a.cfg.Cases))
-	s.blockedPairs = make([]map[standards.Abbrev]int, len(a.cfg.Cases))
+	s.stdSites = make([][]int, len(a.cfg.Cases))
+	s.blockedPairs = make([][]int, len(a.cfg.Cases))
 	for ci := range a.cfg.Cases {
-		s.featureSites[ci] = append([]int(nil), a.featureSites[ci]...)
-		s.stdSites[ci] = make(map[standards.Abbrev]int, len(a.stdSites[ci]))
-		for std, n := range a.stdSites[ci] {
-			s.stdSites[ci][std] = n
-		}
-		s.blockedPairs[ci] = make(map[standards.Abbrev]int, len(a.blockedPairs[ci]))
-		for std, n := range a.blockedPairs[ci] {
-			s.blockedPairs[ci][std] = n
-		}
+		s.featureSites[ci] = slices.Clone(a.featureSites[ci])
+		s.stdSites[ci] = slices.Clone(a.stdSites[ci])
+		s.blockedPairs[ci] = slices.Clone(a.blockedPairs[ci])
 	}
-	s.complexity = make(map[int]int, len(a.complexity))
-	for n, count := range a.complexity {
-		s.complexity[n] = count
-	}
+	s.complexity = slices.Clone(a.complexity)
 	s.nspSums = append([]int64(nil), a.nspSums...)
 	s.nspMeasured = a.nspMeasured
 	s.measured = a.measured

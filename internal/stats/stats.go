@@ -2,7 +2,8 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,8 +13,12 @@ import (
 )
 
 // Visit is one completed (site, case, round) crawl: the unit fed to an
-// Aggregate. Features ownership transfers to the aggregate — callers must
-// not mutate the bitset after the call.
+// Aggregate. The aggregate keeps a reference to Features until the site is
+// folded, so callers must not mutate the bitset after the call. It never
+// writes the bitset either: a site's per-case union starts as a clone of
+// its first visit's set and only reads the rest. A caller may therefore
+// pass bitsets it still reads, such as a log's own cells, without cloning
+// them.
 type Visit struct {
 	Case        measure.Case
 	Round       int
@@ -120,25 +125,37 @@ type Aggregate struct {
 	caseIdx map[measure.Case]int
 	defIdx  int // index of measure.CaseDefault in cfg.Cases; -1 when absent
 
+	// The dense standard table: stdNames lists the distinct standards of
+	// cfg.Standards in sorted order, and stdIdx[featureID] is the
+	// feature's index into it. Per-standard tallies are slices indexed by
+	// it, and a site's standard set is a bitset of stdWords words over it.
+	stdNames []standards.Abbrev
+	stdIdx   []int
+	stdWords int
+
 	stripes []stripe
 
 	// Derived tallies, folded once per site at EndSite. Guarded by foldMu;
 	// fold traffic is per-site, not per-visit, so the single lock is cold.
 	foldMu       sync.Mutex
 	featureSites [][]int // [caseIdx][featureID] → sites using the feature
-	stdSites     []map[standards.Abbrev]int
+	stdSites     [][]int // [caseIdx][std] → sites using the standard
 	// blockedPairs[caseIdx][std] counts sites that used std in the default
 	// case but executed none of its features under the case — the §5.1
 	// block-rate numerator for every (default, case) pair.
-	blockedPairs []map[standards.Abbrev]int
+	blockedPairs [][]int
 	// complexity[n] counts measured sites using exactly n standards in the
 	// default case (Figure 8's population).
-	complexity map[int]int
+	complexity []int
 	// nspSums[round] sums, over measured sites, the standards first seen
 	// in the round (default case); nspMeasured is the population.
 	nspSums     []int64
 	nspMeasured int
 	measured    int
+	// Fold scratch, reused by every fold: caseSets holds one standard
+	// bitset per case, seen and tmp one each.
+	caseSets  []uint64
+	seen, tmp []uint64
 
 	// Keep-log state: features[caseIdx][round][site] is the visit's
 	// feature set (guarded by the site's stripe lock); recorded/failed
@@ -189,10 +206,21 @@ func New(cfg Config) (*Aggregate, error) {
 		defIdx:       -1,
 		stripes:      make([]stripe, cfg.Stripes),
 		featureSites: make([][]int, len(cfg.Cases)),
-		stdSites:     make([]map[standards.Abbrev]int, len(cfg.Cases)),
-		blockedPairs: make([]map[standards.Abbrev]int, len(cfg.Cases)),
-		complexity:   make(map[int]int),
+		stdSites:     make([][]int, len(cfg.Cases)),
+		blockedPairs: make([][]int, len(cfg.Cases)),
 	}
+	a.stdNames = slices.Clone(cfg.Standards)
+	slices.Sort(a.stdNames)
+	a.stdNames = slices.Compact(a.stdNames)
+	a.stdIdx = make([]int, cfg.NumFeatures)
+	for id, std := range cfg.Standards {
+		a.stdIdx[id], _ = slices.BinarySearch(a.stdNames, std)
+	}
+	a.stdWords = (len(a.stdNames) + 63) / 64
+	a.complexity = make([]int, len(a.stdNames)+1)
+	a.caseSets = make([]uint64, len(cfg.Cases)*a.stdWords)
+	a.seen = make([]uint64, a.stdWords)
+	a.tmp = make([]uint64, a.stdWords)
 	for ci, cs := range cfg.Cases {
 		if _, dup := a.caseIdx[cs]; dup {
 			return nil, fmt.Errorf("stats: duplicate case %q", cs)
@@ -202,8 +230,8 @@ func New(cfg Config) (*Aggregate, error) {
 			a.defIdx = ci
 		}
 		a.featureSites[ci] = make([]int, cfg.NumFeatures)
-		a.stdSites[ci] = make(map[standards.Abbrev]int)
-		a.blockedPairs[ci] = make(map[standards.Abbrev]int)
+		a.stdSites[ci] = make([]int, len(a.stdNames))
+		a.blockedPairs[ci] = make([]int, len(a.stdNames))
 	}
 	for si := range a.stripes {
 		a.stripes[si].invocations = make([]int64, len(cfg.Cases))
@@ -269,17 +297,19 @@ func (a *Aggregate) Apply(b Batch) error {
 		}
 	}
 
-	groups := make(map[*stripe][]int, len(a.stripes))
-	for i, v := range b.Visits {
-		st := a.stripeOf(v.Site)
-		groups[st] = append(groups[st], i)
-	}
-	for st, idxs := range groups {
-		st.mu.Lock()
-		for _, i := range idxs {
-			a.applyVisitLocked(st, b.Visits[i])
+	if len(b.Visits) > 0 {
+		groups := make(map[*stripe][]int, len(a.stripes))
+		for i, v := range b.Visits {
+			st := a.stripeOf(v.Site)
+			groups[st] = append(groups[st], i)
 		}
-		st.mu.Unlock()
+		for st, idxs := range groups {
+			st.mu.Lock()
+			for _, i := range idxs {
+				a.applyVisitLocked(st, b.Visits[i])
+			}
+			st.mu.Unlock()
+		}
 	}
 	for _, site := range b.Fails {
 		st := a.stripeOf(site)
@@ -407,70 +437,129 @@ func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 // standard-site increments, its default set drives the block-pair,
 // complexity, and new-standards tallies. Must hold foldMu.
 //
-// The tallies mirror the cold analysis scan exactly: union-based counts
+// The tallies mirror a scan of the full log exactly: union-based counts
 // include partially measured (failed) sites, while complexity and
 // new-standards-per-round count only measured sites, and every site with a
 // default-case observation contributes to the block pairs — a case with no
 // observations blocks all of the site's default standards, matching the
 // "no features executed" definition.
+//
+// Each case's standard set is a bitset over the dense standard table, built
+// in the aggregate's scratch while the union's features are counted, so a
+// fold allocates nothing: the block pairs count the bits of default &^
+// case, complexity is the default set's popcount, and a round's new
+// standards are the popcount of round &^ seen.
 func (a *Aggregate) foldLocked(o *openSite) {
 	measured := o.recorded && !o.failed
 	if measured {
 		a.measured++
 	}
 
-	sets := make([]map[standards.Abbrev]bool, len(a.cfg.Cases))
+	w := a.stdWords
 	for ci, u := range o.unions {
 		if u == nil {
 			continue
 		}
-		set := make(map[standards.Abbrev]bool)
-		fs := a.featureSites[ci]
-		stdOf := a.cfg.Standards
-		u.ForEach(a.cfg.NumFeatures, func(id int) {
-			fs[id]++
-			set[stdOf[id]] = true
-		})
-		for std := range set {
-			a.stdSites[ci][std]++
-		}
-		sets[ci] = set
+		set := a.caseSets[ci*w : (ci+1)*w]
+		a.standardSet(set, u, a.featureSites[ci])
+		countBits(a.stdSites[ci], set)
 	}
 
-	if a.defIdx < 0 || sets[a.defIdx] == nil {
+	if a.defIdx < 0 || o.unions[a.defIdx] == nil {
 		return
 	}
-	defSet := sets[a.defIdx]
+	def := a.caseSets[a.defIdx*w : (a.defIdx+1)*w]
 	for ci := range a.cfg.Cases {
-		blocked := a.blockedPairs[ci]
-		for std := range defSet {
-			if sets[ci] == nil || !sets[ci][std] {
-				blocked[std]++
-			}
+		if ci == a.defIdx {
+			continue // a site never blocks its own default set
 		}
+		if o.unions[ci] == nil {
+			countBits(a.blockedPairs[ci], def)
+			continue
+		}
+		set := a.caseSets[ci*w : (ci+1)*w]
+		for i := range a.tmp {
+			a.tmp[i] = def[i] &^ set[i]
+		}
+		countBits(a.blockedPairs[ci], a.tmp)
 	}
 	if !measured {
 		return
 	}
-	a.complexity[len(defSet)]++
-	seen := make(map[standards.Abbrev]bool, len(defSet))
+	a.complexity[popcount(def)]++
+	clear(a.seen)
 	for r, sf := range o.defRounds {
 		if sf == nil {
 			continue
 		}
+		a.standardSet(a.tmp, sf, nil)
 		newStd := 0
-		sf.ForEach(a.cfg.NumFeatures, func(id int) {
-			if std := a.cfg.Standards[id]; !seen[std] {
-				seen[std] = true
-				newStd++
-			}
-		})
+		for i, std := range a.tmp {
+			newStd += bits.OnesCount64(std &^ a.seen[i])
+			a.seen[i] |= std
+		}
 		for len(a.nspSums) <= r {
 			a.nspSums = append(a.nspSums, 0)
 		}
 		a.nspSums[r] += int64(newStd)
 	}
 	a.nspMeasured++
+}
+
+// standardSet overwrites set with the standards of u's features and, when
+// featureSites is non-nil, counts one site for each of those features.
+func (a *Aggregate) standardSet(set []uint64, u measure.Bitset, featureSites []int) {
+	clear(set)
+	stdIdx := a.stdIdx
+	u.ForEach(a.cfg.NumFeatures, func(id int) {
+		if featureSites != nil {
+			featureSites[id]++
+		}
+		s := stdIdx[id]
+		set[s/64] |= 1 << (s % 64)
+	})
+}
+
+// countBits adds one to counts[i] for every bit i set in set.
+func countBits(counts []int, set []uint64) {
+	for w, word := range set {
+		for word != 0 {
+			counts[w*64+bits.TrailingZeros64(word)]++
+			word &= word - 1
+		}
+	}
+}
+
+func popcount(set []uint64) int {
+	n := 0
+	for _, word := range set {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// countsByName expands a dense per-standard tally into the map the query
+// API returns, leaving zero counts out.
+func countsByName(names []standards.Abbrev, counts []int) map[standards.Abbrev]int {
+	out := make(map[standards.Abbrev]int)
+	for i, n := range counts {
+		if n != 0 {
+			out[names[i]] = n
+		}
+	}
+	return out
+}
+
+// expandComplexity lists n once per site counted in complexity[n], so the
+// series comes out ascending.
+func expandComplexity(complexity []int) []int {
+	var out []int
+	for n, count := range complexity {
+		for i := 0; i < count; i++ {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // OpenSites reports how many sites are mid-flight (visits recorded, not yet
@@ -520,38 +609,30 @@ func (a *Aggregate) FeatureSites(c measure.Case) []int {
 }
 
 // StandardSites returns the number of sites using each standard under the
-// case (absent standards are simply missing, as in the cold scan).
+// case; standards no site used are left out.
 func (a *Aggregate) StandardSites(c measure.Case) map[standards.Abbrev]int {
-	out := make(map[standards.Abbrev]int)
 	ci, ok := a.caseIdx[c]
 	if !ok {
-		return out
+		return make(map[standards.Abbrev]int)
 	}
 	a.foldMu.Lock()
-	for std, n := range a.stdSites[ci] {
-		out[std] = n
-	}
-	a.foldMu.Unlock()
-	return out
+	defer a.foldMu.Unlock()
+	return countsByName(a.stdNames, a.stdSites[ci])
 }
 
 // BlockedSites returns, per standard, the number of sites that used the
 // standard in the default case but executed none of its features under c —
 // the block-rate numerator. A case the aggregate never tracked blocks
 // everything (no feature of it ever executed), so the default-case counts
-// are returned, matching the cold scan over a log without the case.
+// are returned, matching a scan of a log without the case.
 func (a *Aggregate) BlockedSites(c measure.Case) map[standards.Abbrev]int {
-	if _, ok := a.caseIdx[c]; !ok {
+	ci, ok := a.caseIdx[c]
+	if !ok {
 		return a.StandardSites(measure.CaseDefault)
 	}
-	out := make(map[standards.Abbrev]int)
-	ci := a.caseIdx[c]
 	a.foldMu.Lock()
-	for std, n := range a.blockedPairs[ci] {
-		out[std] = n
-	}
-	a.foldMu.Unlock()
-	return out
+	defer a.foldMu.Unlock()
+	return countsByName(a.stdNames, a.blockedPairs[ci])
 }
 
 // Complexity returns, per measured site with default-case observations, the
@@ -560,21 +641,14 @@ func (a *Aggregate) BlockedSites(c measure.Case) map[standards.Abbrev]int {
 // series (CDFs, histograms) is order-insensitive.
 func (a *Aggregate) Complexity() []int {
 	a.foldMu.Lock()
-	var out []int
-	for n, count := range a.complexity {
-		for i := 0; i < count; i++ {
-			out = append(out, n)
-		}
-	}
-	a.foldMu.Unlock()
-	sort.Ints(out)
-	return out
+	defer a.foldMu.Unlock()
+	return expandComplexity(a.complexity)
 }
 
 // NewStandardsPerRound returns Table 3's series: the average number of
 // standards first observed in each default-case round across measured
-// sites, identical to the cold scan (nil when the default case was never
-// observed).
+// sites, identical to a scan of the log (nil when the default case was
+// never observed).
 func (a *Aggregate) NewStandardsPerRound() []float64 {
 	if a.defIdx < 0 {
 		return nil
@@ -695,6 +769,12 @@ func (a *Aggregate) Merge(other *Aggregate) error {
 		if other.cfg.Cases[ci] != cs {
 			return fmt.Errorf("stats: merging aggregates with different case sets")
 		}
+	}
+	if !slices.Equal(other.stdNames, a.stdNames) {
+		// Per-standard tallies add by dense index, so the tables must
+		// agree for the sum to mean anything.
+		return fmt.Errorf("stats: merging aggregates with different standard tables (%d vs %d standards)",
+			len(other.stdNames), len(a.stdNames))
 	}
 	if other.cfg.KeepLog != a.cfg.KeepLog {
 		return fmt.Errorf("stats: merging a keep-log aggregate with a spill-only one")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/logstore"
@@ -406,6 +407,54 @@ func TestMergeRejectsMismatches(t *testing.T) {
 	g, _ := New(cfg2)
 	if err := f.Merge(g); err == nil {
 		t.Error("Merge accepted keep-log aggregates with different round counts")
+	}
+}
+
+// TestMergeRejectsStandardTables pins that Merge adds per-standard tallies
+// only between aggregates with the same dense standard table: the tallies
+// add by index, so built from mappings that name different standards, one
+// index would stand for two standards. Mappings that name the same
+// standards share the table and merge.
+func TestMergeRejectsStandardTables(t *testing.T) {
+	base := tStandards()
+	reversed := slices.Clone(base)
+	slices.Reverse(reversed)
+	renamed := slices.Clone(base)
+	renamed[0] = "NOT-IN-CATALOG"
+	single := make([]standards.Abbrev, tNumFeatures)
+	for id := range single {
+		single[id] = base[0]
+	}
+	for _, tc := range []struct {
+		name  string
+		stdOf []standards.Abbrev
+		ok    bool
+	}{
+		{"same mapping", base, true},
+		{"same standards, features remapped", reversed, true},
+		{"one standard renamed", renamed, false},
+		{"fewer standards", single, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := New(tConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := tConfig()
+			cfg.Standards = tc.stdOf
+			b, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(t, b, tSurvey(3)[:4])
+			err = a.Merge(b)
+			if tc.ok && err != nil {
+				t.Errorf("Merge rejected the same standard table: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Error("Merge accepted a different standard table")
+			}
+		})
 	}
 }
 
