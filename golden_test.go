@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -42,10 +44,10 @@ var goldenPoints = []struct {
 // TestGolden anchors the survey's outputs to committed SHA-256 digests: the
 // CSV and binary encodings of the log, the full report rendered by a
 // log-built analysis over the CSV-decoded log (what report -log prints),
-// and the aggregate report rendered from the run's spill files (what
-// report -spills prints). Every engine, codec and analysis path is checked
-// against this fixed record rather than against another path of the same
-// code.
+// the aggregate report rendered from the run's spill files (what report
+// -spills prints), and those spill files re-written as one canonical
+// stream. Every engine, codec and analysis path is checked against this
+// fixed record rather than against another path of the same code.
 func TestGolden(t *testing.T) {
 	for _, p := range goldenPoints {
 		t.Run(p.name, func(t *testing.T) {
@@ -101,15 +103,91 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			spill, err := canonicalSpill(paths)
+			if err != nil {
+				t.Fatal(err)
+			}
+
 			got := []goldenEntry{
 				textEntry("csv-log", csvLog.Bytes(), "#case,"),
 				binaryEntry("binary-log", binLog.Bytes()),
 				textEntry("full-report", full.Bytes(), "Headline results"),
 				textEntry("aggregate-report", agg.Bytes(), "Headline results"),
+				binaryEntry("spill-stream", spill),
 			}
 			checkGolden(t, filepath.Join("testdata", "golden", p.name+".txt"), p.name, got)
 		})
 	}
+}
+
+// canonicalSpill reads a run's spill files and re-appends their records
+// through one logstore.Writer in a fixed order: sites ascending, and within
+// a site its observations by case then round, then its failures, then its
+// end markers. A sharded crawl's workers interleave sites in no fixed
+// order, so the files themselves have no stable digest; this stream does,
+// and it still runs every byte through the spill encoder and decoder.
+func canonicalSpill(paths []string) ([]byte, error) {
+	s, err := logstore.OpenSpillFiles(paths...)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	type siteRecords struct {
+		obs         []logstore.Observation
+		fails, ends int
+	}
+	sites := make([]siteRecords, len(s.Domains()))
+	for {
+		rec, err := s.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		sr := &sites[rec.Site]
+		switch rec.Kind {
+		case logstore.SpillObservation:
+			sr.obs = append(sr.obs, rec.Obs)
+		case logstore.SpillFailure:
+			sr.fails++
+		case logstore.SpillSiteEnd:
+			sr.ends++
+		}
+	}
+	var buf bytes.Buffer
+	w, err := logstore.NewWriter(&buf, s.NumFeatures(), s.Domains())
+	if err != nil {
+		return nil, err
+	}
+	for site, sr := range sites {
+		sort.Slice(sr.obs, func(i, j int) bool {
+			a, b := sr.obs[i], sr.obs[j]
+			if a.Case != b.Case {
+				return a.Case < b.Case
+			}
+			return a.Round < b.Round
+		})
+		for _, o := range sr.obs {
+			if err := w.Append(o); err != nil {
+				return nil, err
+			}
+		}
+		for i := 0; i < sr.fails; i++ {
+			if err := w.Fail(site); err != nil {
+				return nil, err
+			}
+		}
+		for i := 0; i < sr.ends; i++ {
+			if err := w.EndSite(site); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // logStats is Table 1's summary of a saved log, derived the way report
