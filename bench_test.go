@@ -1,7 +1,9 @@
 // Package repro's root benchmark harness regenerates every table and figure
 // of "Browser Feature Usage on the Modern Web" (IMC 2016) against a shared
-// surveyed study, and sweeps the design choices DESIGN.md calls out as
-// ablations. Run with:
+// surveyed study, and sweeps the crawl's design choices as ablations: path
+// novelty, the monkey-testing budget, rounds and branch factor. The
+// execution-engine ablations are described in docs/ARCHITECTURE.md, §3b
+// "Compile-once, execute-many". Run with:
 //
 //	go test -bench=. -benchmem
 //

@@ -25,8 +25,9 @@
 //     releases it. Defer-release, release-before-every-return, and
 //     genuine ownership transfer (return/store/send) all pass.
 //   - framecap flags make() sized by a wire-read length (ReadUvarint and
-//     friends) with no intervening bound check — two bytes on the wire
-//     must not allocate 2^60 elements.
+//     friends, and logstore's window-reader rawUvarint) with no
+//     intervening bound check — two bytes on the wire must not allocate
+//     2^60 elements.
 //
 // # Scope
 //

@@ -16,10 +16,12 @@ import (
 // analyzer catches the raw path those helpers exist to prevent.
 //
 // Tainted sources: encoding/binary.ReadUvarint / ReadVarint / Uvarint /
-// Varint, and local wrappers named readUvarint / readVarint (dist's
-// error-annotating wrapper). A taint is cleared by any if-statement
-// between the read and the make whose condition compares the tainted
-// variable (n > max, n > uint64(r.Len()), ...).
+// Varint, local wrappers named readUvarint / readVarint (dist's
+// error-annotating wrapper), and functions or methods named rawUvarint
+// (logstore's window reader, which decodes varints from its own buffer
+// rather than through encoding/binary's readers). A taint is cleared by any
+// if-statement between the read and the make whose condition compares the
+// tainted variable (n > max, n > uint64(r.Len()), ...).
 //
 // A length that is genuinely bounded some other way can
 // `//lint:allow framecap` with a comment naming the bound.
@@ -135,7 +137,11 @@ func isWireRead(info *types.Info, call *ast.CallExpr) bool {
 			return true
 		}
 	}
-	return name == "readUvarint" || name == "readVarint"
+	switch name {
+	case "readUvarint", "readVarint", "rawUvarint":
+		return true
+	}
+	return false
 }
 
 // guardedBetween reports whether an if-statement between the taint and

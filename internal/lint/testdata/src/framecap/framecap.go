@@ -82,6 +82,50 @@ func checkedAgainstRemaining(r *bytes.Reader) ([]int, error) {
 	return sites, nil
 }
 
+// window mirrors logstore's window reader: it decodes varints from its own
+// buffer instead of through encoding/binary's readers, so its raw
+// primitive must taint like ReadUvarint does.
+type window struct {
+	buf []byte
+	pos int
+}
+
+func (w *window) rawUvarint() (uint64, error) {
+	var v uint64
+	for shift := uint(0); w.pos < len(w.buf); shift += 7 {
+		b := w.buf[w.pos]
+		w.pos++
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, nil
+		}
+	}
+	return 0, io.ErrUnexpectedEOF
+}
+
+// Bad: the window reader's raw varint sizes an allocation unchecked.
+func uncheckedWindow(w *window) ([]string, error) {
+	n, err := w.rawUvarint()
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, n) // want `make sized by wire-read length "n" with no bound check`
+	return names, nil
+}
+
+// Good: the window reader's varint checked against the cap first.
+func checkedWindow(w *window) ([]string, error) {
+	n, err := w.rawUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxPayload {
+		return nil, fmt.Errorf("claims %d names, limit %d", n, maxPayload)
+	}
+	names := make([]string, n)
+	return names, nil
+}
+
 // Good: a length derived from in-memory data, not the wire.
 func lenSized(domains []string) []bool {
 	return make([]bool, len(domains))

@@ -172,9 +172,9 @@ func (c *Cache) Put(seed int64, cs measure.Case, out VisitOutcome) error {
 	w.str(c.scope)
 	w.str(string(cs))
 	if out.Failed {
-		w.bytes([]byte{1})
+		w.byte(1)
 	} else {
-		w.bytes([]byte{0})
+		w.byte(0)
 		w.uvarint(uint64(out.Invocations))
 		w.uvarint(uint64(out.Pages))
 		w.bitset(out.Features, c.numFeatures)
@@ -214,7 +214,7 @@ func (c *Cache) Put(seed int64, cs measure.Case, out VisitOutcome) error {
 // decode parses one entry, validating it against the cache's corpus and
 // the case it was looked up under.
 func (c *Cache) decode(data []byte, cs measure.Case) (VisitOutcome, error) {
-	r := newBinReader(bytes.NewReader(data))
+	r := newBytesReader(data)
 	if err := r.expectMagic(cacheMagic, "cache entry"); err != nil {
 		return VisitOutcome{}, err
 	}
@@ -239,7 +239,7 @@ func (c *Cache) decode(data []byte, cs measure.Case) (VisitOutcome, error) {
 	if storedCase != string(cs) {
 		return VisitOutcome{}, fmt.Errorf("logstore: cache entry for case %q, want %q", storedCase, cs)
 	}
-	flag, err := r.br.ReadByte()
+	flag, err := r.readByte()
 	if err != nil {
 		return VisitOutcome{}, err
 	}

@@ -29,6 +29,32 @@
 // stats.FromSpills folds them into a mergeable aggregate without ever
 // materializing the log.
 //
+// A SpillStream hands out records two ways. Next returns one record at a
+// time, and an observation's feature bitset belongs to the caller: what a
+// consumer that keeps records needs (ReadSpills, the crash-resume scan).
+// Scan calls a function with every record, and an observation's bitset is
+// borrowed: one scratch bitset the stream decodes every observation into,
+// valid only until the function returns. A consumer that only reads the
+// features, as stats' replay into an aggregate does, then allocates nothing
+// per record; case names are interned, so they cost nothing after a case's
+// first record either.
+//
+// # Decoding
+//
+// The binary codec, the spill stream and the visit cache decode through one
+// reader. It keeps its own window of bytes and refills it from the source
+// only when a field needs bytes the window does not hold; once the source
+// reports its end, the reader never asks it again, so the last records of a
+// stream cost no extra reads. Varints decode straight from the window (a
+// one-byte varint, nearly every varint of a sparse feature bitset, is one
+// compare), and each run of a bitset sets its bits a word at a time. The
+// encoders mirror this: a bitset's runs are found in one pass over its words
+// and appended to a reused buffer, then written as two writes. The CSV codec
+// parses observation rows in place from the scanner's buffer. None of this
+// changes a byte on disk: reference_test.go keeps the byte-at-a-time
+// decoders and the two-walk encoder these replaced, and the fuzzers hold
+// the codecs to them.
+//
 // # Spill frame format (bytes on the wire)
 //
 // A spill stream — whether a shard-NNN.spill file on disk or the payload

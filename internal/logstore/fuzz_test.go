@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/measure"
 )
@@ -124,6 +126,93 @@ func FuzzReadSpills(f *testing.F) {
 		l, err := ReadSpills(bytes.NewReader(data))
 		if err == nil && l == nil {
 			t.Fatal("nil log without error")
+		}
+	})
+}
+
+// FuzzDecodersMatchReference holds every decoder to the byte-at-a-time
+// reference it replaced (reference_test.go): on arbitrary bytes, binary
+// decode, spill Next, the borrowed spill Scan and CSV decode must each
+// produce exactly what the reference produces, or both must fail. The
+// binary and spill Next sides read through a one-byte reader, so every
+// field straddles a window refill.
+func FuzzDecodersMatchReference(f *testing.F) {
+	seedCorpus(f, Binary{})
+	seedCorpus(f, CSV{})
+	for _, l := range []*measure.Log{buildLog(), denseLog()} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, l.NumFeatures, l.Domains)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, o := range logToObservations(l) {
+			if err := w.Append(o); err != nil {
+				f.Fatal(err)
+			}
+			if i%3 == 0 {
+				w.Fail(o.Site)
+				w.EndSite(o.Site)
+			}
+		}
+		if err := w.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, werr := referenceDecodeBinary(bytes.NewReader(data))
+		got, gerr := Binary{}.Decode(iotest.OneByteReader(bytes.NewReader(data)))
+		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("binary decode: got (%v), reference (%v)", gerr, werr)
+		}
+
+		want, werr = referenceDecodeCSV(bytes.NewReader(data))
+		got, gerr = CSV{}.Decode(bytes.NewReader(data))
+		if (gerr == nil) != (werr == nil) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("csv decode: got (%v), reference (%v)", gerr, werr)
+		}
+
+		ref, rerr := readReferenceSpill(data)
+		for _, scan := range []bool{false, true} {
+			var src io.Reader = bytes.NewReader(data)
+			if !scan {
+				src = iotest.OneByteReader(src)
+			}
+			s, err := OpenSpills(src)
+			if (err == nil) != (rerr == nil) {
+				t.Fatalf("spill header: got (%v), reference (%v)", err, rerr)
+			}
+			if err != nil {
+				continue
+			}
+			if s.NumFeatures() != ref.numFeatures || !slices.Equal(s.Domains(), ref.domains) {
+				t.Fatal("spill header differs from the reference")
+			}
+			var recs []SpillRecord
+			if scan {
+				err = s.Scan(func(rec SpillRecord) error {
+					if rec.Obs.Features != nil {
+						rec.Obs.Features = rec.Obs.Features.Clone()
+					}
+					recs = append(recs, rec)
+					return nil
+				})
+			} else {
+				for {
+					var rec SpillRecord
+					if rec, err = s.Next(); err != nil {
+						break
+					}
+					recs = append(recs, rec)
+				}
+				if err == io.EOF {
+					err = nil
+				}
+			}
+			if (err != nil) != ref.failed || !reflect.DeepEqual(recs, ref.records) {
+				t.Fatalf("spill (scan %v): %d records, error %v; reference %d records, failed %v",
+					scan, len(recs), err, len(ref.records), ref.failed)
+			}
 		}
 	})
 }

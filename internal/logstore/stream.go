@@ -145,7 +145,7 @@ func (w *Writer) Append(obs Observation) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.w.bytes([]byte{byte(SpillObservation)})
+	w.w.byte(byte(SpillObservation))
 	w.w.str(string(obs.Case))
 	w.w.uvarint(uint64(obs.Round))
 	w.w.uvarint(uint64(obs.Site))
@@ -163,7 +163,7 @@ func (w *Writer) Fail(site int) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.w.bytes([]byte{byte(SpillFailure)})
+	w.w.byte(byte(SpillFailure))
 	w.w.uvarint(uint64(site))
 	return w.w.err
 }
@@ -177,7 +177,7 @@ func (w *Writer) EndSite(site int) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.w.bytes([]byte{byte(SpillSiteEnd)})
+	w.w.byte(byte(SpillSiteEnd))
 	w.w.uvarint(uint64(site))
 	return w.w.err
 }
@@ -286,12 +286,21 @@ func (h *spillHeader) sameStudy(other *spillHeader) error {
 // bounded state (a mergeable stats aggregate) never materializes the full
 // log. Streams are concatenated in the order given; every header after the
 // first must describe the first's study.
+//
+// Next returns each record with a feature bitset of its own. Scan hands
+// every record to a callback with a borrowed bitset instead, so a consumer
+// that only reads the features allocates nothing per record.
 type SpillStream struct {
 	header  *spillHeader
 	readers []io.Reader
 	files   []*os.File
 	idx     int
 	cur     *binReader
+	// cases interns the case names seen so far, so an observation's
+	// name costs no allocation once its case has appeared.
+	cases []measure.Case
+	// scratch is the bitset Scan decodes every observation into.
+	scratch measure.Bitset
 }
 
 // OpenSpills starts streaming over the given spill streams.
@@ -351,25 +360,56 @@ func (s *SpillStream) Domains() []string {
 
 // Next decodes the next record, transparently advancing across streams. It
 // returns io.EOF after the last stream's last record; any other error means
-// corruption or a study mismatch.
+// corruption or a study mismatch. An observation's Features belongs to the
+// caller.
 func (s *SpillStream) Next() (SpillRecord, error) {
+	return s.next(nil)
+}
+
+// Scan decodes every remaining record, calling fn with each in stream
+// order. It returns nil at the end of the last stream, the first decode
+// error, or the first error fn returns.
+//
+// An observation's Features is borrowed: it is one bitset the stream
+// decodes every observation into, valid only until fn returns. A caller
+// that keeps a feature set past the call must clone it.
+func (s *SpillStream) Scan(fn func(SpillRecord) error) error {
+	if s.scratch == nil {
+		s.scratch = measure.NewBitset(s.header.numFeatures)
+	}
 	for {
-		kind, err := s.cur.br.ReadByte()
+		rec, err := s.next(s.scratch)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+	}
+}
+
+// next decodes the next record, into scratch when it is non-nil and into
+// a fresh bitset otherwise.
+func (s *SpillStream) next(scratch measure.Bitset) (SpillRecord, error) {
+	for {
+		kind, err := s.cur.readByte()
 		if err == io.EOF {
 			// Clean end of one stream on a record boundary: move to
 			// the next stream, validating its header.
 			if s.idx >= len(s.readers) {
 				return SpillRecord{}, io.EOF
 			}
-			br := newBinReader(s.readers[s.idx])
-			h, err := readSpillHeader(br)
+			s.cur.reset(s.readers[s.idx])
+			h, err := readSpillHeader(s.cur)
 			if err != nil {
 				return SpillRecord{}, err
 			}
 			if err := h.sameStudy(s.header); err != nil {
 				return SpillRecord{}, fmt.Errorf("logstore: spill stream %d: %w", s.idx, err)
 			}
-			s.cur = br
 			s.idx++
 			continue
 		}
@@ -379,19 +419,35 @@ func (s *SpillStream) Next() (SpillRecord, error) {
 		if len(s.header.domains) == 0 {
 			return SpillRecord{}, fmt.Errorf("logstore: spill records a visit but declares zero domains")
 		}
-		return s.decodeRecord(SpillKind(kind))
+		return s.decodeRecord(SpillKind(kind), scratch)
 	}
 }
 
-func (s *SpillStream) decodeRecord(kind SpillKind) (SpillRecord, error) {
+// caseName resolves a decoded case name to its interned value, allocating
+// only for a name the stream has not produced before.
+func (s *SpillStream) caseName(b []byte) measure.Case {
+	for _, c := range s.cases {
+		if string(c) == string(b) {
+			return c
+		}
+	}
+	c := measure.Case(b)
+	if len(s.cases) < maxCases {
+		s.cases = append(s.cases, c)
+	}
+	return c
+}
+
+func (s *SpillStream) decodeRecord(kind SpillKind, scratch measure.Bitset) (SpillRecord, error) {
 	r := s.cur
 	h := s.header
 	switch kind {
 	case SpillObservation:
-		cs, err := r.str(256, "case name")
+		name, err := r.strBytes(256, "case name")
 		if err != nil {
 			return SpillRecord{}, err
 		}
+		cs := s.caseName(name)
 		round, err := r.count(maxRounds-1, "round")
 		if err != nil {
 			return SpillRecord{}, err
@@ -408,15 +464,20 @@ func (s *SpillStream) decodeRecord(kind SpillKind) (SpillRecord, error) {
 		if err != nil {
 			return SpillRecord{}, err
 		}
-		sf, err := r.bitset(h.numFeatures)
-		if err != nil {
+		sf := scratch
+		if sf == nil {
+			sf = measure.NewBitset(h.numFeatures)
+		} else {
+			clear(sf)
+		}
+		if err := r.bitsetInto(sf, h.numFeatures); err != nil {
 			return SpillRecord{}, err
 		}
 		return SpillRecord{
 			Kind: SpillObservation,
 			Site: site,
 			Obs: Observation{
-				Case:        measure.Case(cs),
+				Case:        cs,
 				Round:       round,
 				Site:        site,
 				Features:    sf,

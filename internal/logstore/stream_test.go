@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/measure"
 )
@@ -333,7 +334,7 @@ func TestSpillStreamTruncation(t *testing.T) {
 		records[off] = i
 	}
 
-	drain := func(s *SpillStream) (int, error) {
+	drainNext := func(s *SpillStream) (int, error) {
 		n := 0
 		for {
 			_, err := s.Next()
@@ -346,28 +347,48 @@ func TestSpillStreamTruncation(t *testing.T) {
 			n++
 		}
 	}
+	drainScan := func(s *SpillStream) (int, error) {
+		n := 0
+		err := s.Scan(func(SpillRecord) error { n++; return nil })
+		return n, err
+	}
 
+	// Each drain also reads through a one-byte reader, so every record
+	// straddles a window refill.
 	total := buf.Len()
 	for off := 0; off <= total; off++ {
-		s, err := OpenSpills(bytes.NewReader(buf.Bytes()[:off]))
-		if off < headerLen {
-			if err == nil {
-				t.Errorf("offset %d: truncated header opened cleanly", off)
+		for _, d := range []struct {
+			name    string
+			drain   func(*SpillStream) (int, error)
+			oneByte bool
+		}{
+			{"Next", drainNext, false}, {"Scan", drainScan, false},
+			{"Next/one-byte", drainNext, true}, {"Scan/one-byte", drainScan, true},
+		} {
+			var src io.Reader = bytes.NewReader(buf.Bytes()[:off])
+			if d.oneByte {
+				src = iotest.OneByteReader(src)
 			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("offset %d: header unexpectedly unreadable: %v", off, err)
-		}
-		n, derr := drain(s)
-		if want, boundary := records[off]; boundary {
-			if derr != nil {
-				t.Errorf("offset %d (boundary): unexpected error after %d records: %v", off, n, derr)
-			} else if n != want {
-				t.Errorf("offset %d (boundary): read %d records, want %d", off, n, want)
+			s, err := OpenSpills(src)
+			if off < headerLen {
+				if err == nil {
+					t.Errorf("offset %d: truncated header opened cleanly", off)
+				}
+				continue
 			}
-		} else if derr == nil {
-			t.Errorf("offset %d (mid-record): drained %d records with no error; truncation went undetected", off, n)
+			if err != nil {
+				t.Fatalf("offset %d: header unexpectedly unreadable: %v", off, err)
+			}
+			n, derr := d.drain(s)
+			if want, boundary := records[off]; boundary {
+				if derr != nil {
+					t.Errorf("%s, offset %d (boundary): unexpected error after %d records: %v", d.name, off, n, derr)
+				} else if n != want {
+					t.Errorf("%s, offset %d (boundary): read %d records, want %d", d.name, off, n, want)
+				}
+			} else if derr == nil {
+				t.Errorf("%s, offset %d (mid-record): drained %d records with no error; truncation went undetected", d.name, off, n)
+			}
 		}
 	}
 }

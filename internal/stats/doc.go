@@ -34,10 +34,14 @@
 // discards its accumulator. Calls for the same site must be ordered (the
 // pipeline guarantees this by assigning each site to one worker); calls for
 // different sites may race freely — they synchronize on stripe locks. The
-// aggregate never writes a Visit's Features: it clones the first set of
-// each case into the site's union and only reads the rest, so a caller may
-// pass bitsets it still owns (FromLog passes the log's own cells) as long
-// as it does not change them before the site is folded.
+// aggregate only borrows a Visit's Features for the call that takes it: it
+// reads the bitset, never writes it, and keeps nothing of it once the call
+// returns. Each case's first set is cloned into the site's union, a
+// default-case visit leaves behind only its round's standard set, and
+// keep-log mode stores a clone in its grid. So a caller may pass bitsets it
+// still owns (FromLog passes the log's own cells), and may reuse one bitset
+// for every visit: Replay, and with it FromSpills and FromSpillStream, feeds
+// each record straight from the spill stream's scratch bitset.
 //
 // Standards are tallied over a dense table: New numbers the distinct
 // standards of Config.Standards in sorted-name order, the per-standard

@@ -17,7 +17,7 @@ import (
 // saved log and the query server's warm-up from one.
 //
 // The visits carry the log's own bitsets, uncloned: the aggregate only
-// reads them (see Visit), so the log is left as it was.
+// borrows them for the call (see Visit), so the log is left as it was.
 //
 // stdOf is the per-feature standard mapping (see StandardsOf) and must
 // match the log's corpus size. cases must cover every case the log holds; a

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/logstore"
 	"repro/internal/measure"
@@ -64,22 +63,18 @@ func FromSpillStream(stdOf []standards.Abbrev, cases []measure.Case, s *logstore
 // result is byte-identical to a run that never crashed. Unlike
 // FromSpillStream it does not retire open sites at EOF — the caller's
 // crawl is still going to finish them.
+//
+// Records go straight from the stream's borrowed bitset into AddVisit,
+// which only borrows it too, so replaying allocates nothing per visit.
 func Replay(agg *Aggregate, s *logstore.SpillStream) error {
 	if agg.cfg.NumFeatures != s.NumFeatures() || agg.cfg.NumSites != len(s.Domains()) {
 		return fmt.Errorf("stats: replaying a %d-feature × %d-site spill into a %d × %d aggregate",
 			s.NumFeatures(), len(s.Domains()), agg.cfg.NumFeatures, agg.cfg.NumSites)
 	}
-	for {
-		rec, err := s.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
+	return s.Scan(func(rec logstore.SpillRecord) error {
 		switch rec.Kind {
 		case logstore.SpillObservation:
-			err = agg.AddVisit(Visit{
+			return agg.AddVisit(Visit{
 				Case:        rec.Obs.Case,
 				Round:       rec.Obs.Round,
 				Site:        rec.Obs.Site,
@@ -88,12 +83,10 @@ func Replay(agg *Aggregate, s *logstore.SpillStream) error {
 				Pages:       rec.Obs.Pages,
 			})
 		case logstore.SpillFailure:
-			err = agg.AddFailure(rec.Site)
+			return agg.AddFailure(rec.Site)
 		case logstore.SpillSiteEnd:
-			err = agg.EndSite(rec.Site)
+			return agg.EndSite(rec.Site)
 		}
-		if err != nil {
-			return err
-		}
-	}
+		return nil
+	})
 }

@@ -13,12 +13,14 @@ import (
 )
 
 // Visit is one completed (site, case, round) crawl: the unit fed to an
-// Aggregate. The aggregate keeps a reference to Features until the site is
-// folded, so callers must not mutate the bitset after the call. It never
-// writes the bitset either: a site's per-case union starts as a clone of
-// its first visit's set and only reads the rest. A caller may therefore
-// pass bitsets it still reads, such as a log's own cells, without cloning
-// them.
+// Aggregate. The aggregate only borrows Features for the duration of the
+// call that takes the visit (AddVisit, or Apply for a batch): it reads the
+// bitset, never writes it, and keeps no reference to it afterwards. A
+// site's per-case union starts as a clone of its first visit's set, a
+// default-case visit leaves behind only the round's standard set, and a
+// keep-log aggregate stores a clone in its grid. A caller may therefore
+// pass bitsets it still reads, such as a log's own cells, and may reuse or
+// overwrite a bitset as soon as the call returns.
 type Visit struct {
 	Case        measure.Case
 	Round       int
@@ -105,12 +107,14 @@ type openSite struct {
 	// unions[caseIdx] is the union of the site's feature sets across
 	// rounds; nil until the case's first visit.
 	unions []measure.Bitset
-	// defRounds[round] is the default case's per-round feature set,
-	// kept so the new-standards-per-round fold walks rounds in order
-	// regardless of arrival order.
-	defRounds []measure.Bitset
-	recorded  bool
-	failed    bool
+	// defStd holds the default case's standard set per round, stdWords
+	// words from defStd[round*stdWords], built as each visit arrives, so
+	// the new-standards-per-round fold walks rounds in order regardless
+	// of arrival order. A round with no visit stays empty, which counts
+	// exactly like no round: it adds no new standards.
+	defStd   []uint64
+	recorded bool
+	failed   bool
 }
 
 // Aggregate is the lock-striped, concurrently mergeable statistics form of
@@ -410,13 +414,19 @@ func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {
 		o.unions[ci].Or(v.Features)
 	}
 	if ci == a.defIdx {
-		for len(o.defRounds) <= v.Round {
-			o.defRounds = append(o.defRounds, nil)
+		w := a.stdWords
+		if n := (v.Round + 1) * w; len(o.defStd) < n {
+			if o.defStd == nil {
+				// Room for every round the stripe has seen, so a
+				// site whose rounds arrive in order sizes once.
+				o.defStd = make([]uint64, 0, (st.maxRound[ci]+1)*w)
+			}
+			o.defStd = append(o.defStd, make([]uint64, n-len(o.defStd))...)
 		}
-		o.defRounds[v.Round] = v.Features
+		a.standardSet(o.defStd[v.Round*w:(v.Round+1)*w], v.Features, nil)
 	}
 	if a.cfg.KeepLog {
-		a.features[ci][v.Round][v.Site] = v.Features
+		a.features[ci][v.Round][v.Site] = v.Features.Clone()
 		a.recorded[v.Site] = true
 	}
 }
@@ -448,7 +458,8 @@ func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 // in the aggregate's scratch while the union's features are counted, so a
 // fold allocates nothing: the block pairs count the bits of default &^
 // case, complexity is the default set's popcount, and a round's new
-// standards are the popcount of round &^ seen.
+// standards are the popcount of round &^ seen, over the per-round standard
+// sets the site built as its default-case visits arrived.
 func (a *Aggregate) foldLocked(o *openSite) {
 	measured := o.recorded && !o.failed
 	if measured {
@@ -488,13 +499,9 @@ func (a *Aggregate) foldLocked(o *openSite) {
 	}
 	a.complexity[popcount(def)]++
 	clear(a.seen)
-	for r, sf := range o.defRounds {
-		if sf == nil {
-			continue
-		}
-		a.standardSet(a.tmp, sf, nil)
+	for r := 0; r*w < len(o.defStd); r++ {
 		newStd := 0
-		for i, std := range a.tmp {
+		for i, std := range o.defStd[r*w : (r+1)*w] {
 			newStd += bits.OnesCount64(std &^ a.seen[i])
 			a.seen[i] |= std
 		}
@@ -507,7 +514,9 @@ func (a *Aggregate) foldLocked(o *openSite) {
 }
 
 // standardSet overwrites set with the standards of u's features and, when
-// featureSites is non-nil, counts one site for each of those features.
+// featureSites is non-nil, counts one site for each of those features. It
+// writes nothing else, so with a nil featureSites it needs no lock beyond
+// the one guarding set.
 func (a *Aggregate) standardSet(set []uint64, u measure.Bitset, featureSites []int) {
 	clear(set)
 	stdIdx := a.stdIdx

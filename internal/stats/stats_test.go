@@ -522,3 +522,117 @@ func TestMergeOverlappingSites(t *testing.T) {
 		t.Errorf("Totals = (%d, %d) after overlapping merge; want doubled (20, 4)", inv, pages)
 	}
 }
+
+// sourceAnswers is every Source answer over all four cases.
+type sourceAnswers struct {
+	FeatureSites, StandardSites, BlockedSites, HasCase []any
+	Cases                                              []measure.Case
+	Complexity                                         []int
+	NSP                                                []float64
+	Measured, NumFeatures, NumSites                    int
+	Invocations, Pages                                 int64
+}
+
+func answersOf(s Source) sourceAnswers {
+	out := sourceAnswers{
+		Cases:       s.Cases(),
+		Complexity:  s.Complexity(),
+		NSP:         s.NewStandardsPerRound(),
+		Measured:    s.MeasuredCount(),
+		NumFeatures: s.NumFeatures(),
+		NumSites:    s.NumSites(),
+	}
+	out.Invocations, out.Pages = s.Totals()
+	for _, c := range measure.AllCases() {
+		out.FeatureSites = append(out.FeatureSites, s.FeatureSites(c))
+		out.StandardSites = append(out.StandardSites, s.StandardSites(c))
+		out.BlockedSites = append(out.BlockedSites, s.BlockedSites(c))
+		out.HasCase = append(out.HasCase, s.HasCase(c))
+	}
+	return out
+}
+
+// TestAddVisitBorrowsFeatures pins the Visit contract: the aggregate only
+// borrows Features for the call. A survey over all four cases, with rounds
+// arriving out of order and failed sites, is fed twice: once with fresh
+// clones, and once through one bitset that is overwritten right after each
+// call. Both aggregates, keep-log and spill-only, fed visit by visit or in
+// batches, must answer every Source query, and Log, identically.
+func TestAddVisitBorrowsFeatures(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := measure.AllCases()
+	domains := make([]string, tNumSites)
+	var sites []tSiteEvents
+	for site := range domains {
+		domains[site] = "site.example"
+		ev := tSiteEvents{site: site}
+		for _, cs := range cases {
+			for _, round := range rng.Perm(tRounds) {
+				features := measure.NewBitset(tNumFeatures)
+				for n := rng.Intn(20); n >= 0; n-- {
+					features.Set(rng.Intn(tNumFeatures))
+				}
+				ev.visits = append(ev.visits, Visit{
+					Case: cs, Round: round, Site: site, Features: features,
+					Invocations: int64(rng.Intn(100)), Pages: 1 + rng.Intn(13),
+				})
+			}
+		}
+		rng.Shuffle(len(ev.visits), func(i, j int) { ev.visits[i], ev.visits[j] = ev.visits[j], ev.visits[i] })
+		if site%7 == 3 {
+			ev.fails = []int{site}
+		}
+		sites = append(sites, ev)
+	}
+
+	for _, keepLog := range []bool{false, true} {
+		for _, batched := range []bool{false, true} {
+			cfg := tConfig()
+			cfg.Cases = cases
+			cfg.KeepLog = keepLog
+			cfg.Domains = domains
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			borrowed, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch := measure.NewBitset(tNumFeatures)
+			for _, ev := range sites {
+				for _, v := range ev.visits {
+					clone := v
+					clone.Features = v.Features.Clone()
+					if err := fresh.AddVisit(clone); err != nil {
+						t.Fatal(err)
+					}
+					copy(scratch, v.Features)
+					v.Features = scratch
+					if batched {
+						err = borrowed.Apply(Batch{Visits: []Visit{v}})
+					} else {
+						err = borrowed.AddVisit(v)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range scratch {
+						scratch[i] = ^uint64(0)
+					}
+				}
+				for _, a := range []*Aggregate{fresh, borrowed} {
+					if err := a.Apply(Batch{Fails: ev.fails, Ends: []int{ev.site}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got, want := answersOf(borrowed), answersOf(fresh); !reflect.DeepEqual(got, want) {
+				t.Errorf("keepLog=%v batched=%v: aggregate fed a reused bitset answers differently:\n got %+v\nwant %+v", keepLog, batched, got, want)
+			}
+			if got, want := borrowed.Log(), fresh.Log(); !reflect.DeepEqual(got, want) {
+				t.Errorf("keepLog=%v batched=%v: Log of the aggregate fed a reused bitset differs", keepLog, batched)
+			}
+		}
+	}
+}
