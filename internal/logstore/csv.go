@@ -114,135 +114,110 @@ func appendFeatureIDs(dst []byte, b measure.Bitset, n int) []byte {
 func (CSV) Decode(r io.Reader) (*measure.Log, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	d := csvDecoder{l: &measure.Log{Cases: make(map[measure.Case]*measure.CaseLog)}}
+	l := &measure.Log{Cases: make(map[measure.Case]*measure.CaseLog)}
+	line, cells := 0, 0
 	for sc.Scan() {
-		d.line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
+		line++
+		raw := bytes.TrimSpace(sc.Bytes())
+		if len(raw) == 0 {
 			continue
 		}
-		var err error
-		if isCSVHeader(text) {
-			err = d.header(string(text))
-		} else {
-			err = d.row(text)
+		if raw[0] != '#' {
+			if err := decodeCSVRow(l, raw, line); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		if err != nil {
-			return nil, err
+		text := string(raw)
+		parts := strings.Split(text, ",")
+		switch {
+		case strings.HasPrefix(text, csvMagic):
+			if l.NumFeatures != 0 {
+				return nil, fmt.Errorf("logstore: csv line %d: duplicate feature header", line)
+			}
+			n, err := strconv.Atoi(parts[1])
+			if err != nil || n <= 0 || n > maxFeatures {
+				return nil, fmt.Errorf("logstore: csv line %d: bad feature count", line)
+			}
+			l.NumFeatures = n
+		case strings.HasPrefix(text, "#domains,"):
+			// Header order is part of the format: features, domains,
+			// then data. Enforcing it keeps every bitset in the log
+			// sized by the one true feature count.
+			if l.NumFeatures == 0 || l.Domains != nil {
+				return nil, fmt.Errorf("logstore: csv line %d: misplaced domain header", line)
+			}
+			n, err := strconv.Atoi(parts[1])
+			if err != nil || n < 0 || n > maxDomains {
+				return nil, fmt.Errorf("logstore: csv line %d: bad domain count", line)
+			}
+			l.Domains = make([]string, n)
+			l.Measured = make([]bool, n)
+		case strings.HasPrefix(text, "#domain,"):
+			if len(parts) != 4 {
+				return nil, fmt.Errorf("logstore: csv line %d: bad domain record", line)
+			}
+			idx, err := strconv.Atoi(parts[1])
+			if err != nil || idx < 0 || idx >= len(l.Domains) {
+				return nil, fmt.Errorf("logstore: csv line %d: bad domain index", line)
+			}
+			l.Domains[idx] = parts[2]
+			l.Measured[idx] = parts[3] == "true"
+		case strings.HasPrefix(text, "#case,"):
+			if len(parts) != 5 {
+				return nil, fmt.Errorf("logstore: csv line %d: bad case record", line)
+			}
+			if l.Domains == nil {
+				return nil, fmt.Errorf("logstore: csv line %d: case before domain header", line)
+			}
+			if _, dup := l.Cases[measure.Case(parts[1])]; dup {
+				return nil, fmt.Errorf("logstore: csv line %d: duplicate case %q", line, parts[1])
+			}
+			cl := &measure.CaseLog{}
+			var err error
+			if cl.Invocations, err = strconv.ParseInt(parts[3], 10, 64); err != nil {
+				return nil, fmt.Errorf("logstore: csv line %d: bad invocation count", line)
+			}
+			if cl.PagesVisited, err = strconv.ParseInt(parts[4], 10, 64); err != nil {
+				return nil, fmt.Errorf("logstore: csv line %d: bad page count", line)
+			}
+			rounds, err := strconv.Atoi(parts[2])
+			if err != nil || rounds < 0 || rounds > maxRounds {
+				return nil, fmt.Errorf("logstore: csv line %d: bad round count", line)
+			}
+			if len(l.Cases) >= maxCases {
+				return nil, fmt.Errorf("logstore: csv line %d: too many cases", line)
+			}
+			cells += rounds * len(l.Domains)
+			if cells > maxCells {
+				return nil, fmt.Errorf("logstore: csv line %d: log exceeds %d cells", line, maxCells)
+			}
+			for i := 0; i < rounds; i++ {
+				cl.Rounds = append(cl.Rounds, &measure.RoundLog{SiteFeatures: make([]measure.Bitset, len(l.Domains))})
+			}
+			l.Cases[measure.Case(parts[1])] = cl
+		default:
+			// Not a header record: an observation of a case whose
+			// name starts with '#'.
+			if err := decodeCSVRow(l, raw, line); err != nil {
+				return nil, err
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	l := d.l
 	if l.NumFeatures == 0 || l.Domains == nil {
 		return nil, fmt.Errorf("logstore: csv log missing header records")
 	}
 	return l, nil
 }
 
-// csvHeaders are the prefixes of the CSV format's header records. Every
-// other line is an observation row.
-var csvHeaders = [...]string{csvMagic, "#domains,", "#domain,", "#case,"}
-
-func isCSVHeader(text []byte) bool {
-	if text[0] != '#' {
-		return false
-	}
-	for _, h := range csvHeaders {
-		if bytes.HasPrefix(text, []byte(h)) {
-			return true
-		}
-	}
-	return false
-}
-
-// csvDecoder is the state of one CSV decode.
-type csvDecoder struct {
-	l           *measure.Log
-	line, cells int
-}
-
-// header applies one header record.
-func (d *csvDecoder) header(text string) error {
-	l, line := d.l, d.line
-	parts := strings.Split(text, ",")
-	switch {
-	case strings.HasPrefix(text, csvMagic):
-		if l.NumFeatures != 0 {
-			return fmt.Errorf("logstore: csv line %d: duplicate feature header", line)
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil || n <= 0 || n > maxFeatures {
-			return fmt.Errorf("logstore: csv line %d: bad feature count", line)
-		}
-		l.NumFeatures = n
-	case strings.HasPrefix(text, "#domains,"):
-		// Header order is part of the format: features, domains,
-		// then data. Enforcing it keeps every bitset in the log
-		// sized by the one true feature count.
-		if l.NumFeatures == 0 || l.Domains != nil {
-			return fmt.Errorf("logstore: csv line %d: misplaced domain header", line)
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil || n < 0 || n > maxDomains {
-			return fmt.Errorf("logstore: csv line %d: bad domain count", line)
-		}
-		l.Domains = make([]string, n)
-		l.Measured = make([]bool, n)
-	case strings.HasPrefix(text, "#domain,"):
-		if len(parts) != 4 {
-			return fmt.Errorf("logstore: csv line %d: bad domain record", line)
-		}
-		idx, err := strconv.Atoi(parts[1])
-		if err != nil || idx < 0 || idx >= len(l.Domains) {
-			return fmt.Errorf("logstore: csv line %d: bad domain index", line)
-		}
-		l.Domains[idx] = parts[2]
-		l.Measured[idx] = parts[3] == "true"
-	default: // #case,
-		if len(parts) != 5 {
-			return fmt.Errorf("logstore: csv line %d: bad case record", line)
-		}
-		if l.Domains == nil {
-			return fmt.Errorf("logstore: csv line %d: case before domain header", line)
-		}
-		if _, dup := l.Cases[measure.Case(parts[1])]; dup {
-			return fmt.Errorf("logstore: csv line %d: duplicate case %q", line, parts[1])
-		}
-		cl := &measure.CaseLog{}
-		var err error
-		if cl.Invocations, err = strconv.ParseInt(parts[3], 10, 64); err != nil {
-			return fmt.Errorf("logstore: csv line %d: bad invocation count", line)
-		}
-		if cl.PagesVisited, err = strconv.ParseInt(parts[4], 10, 64); err != nil {
-			return fmt.Errorf("logstore: csv line %d: bad page count", line)
-		}
-		rounds, err := strconv.Atoi(parts[2])
-		if err != nil || rounds < 0 || rounds > maxRounds {
-			return fmt.Errorf("logstore: csv line %d: bad round count", line)
-		}
-		if len(l.Cases) >= maxCases {
-			return fmt.Errorf("logstore: csv line %d: too many cases", line)
-		}
-		d.cells += rounds * len(l.Domains)
-		if d.cells > maxCells {
-			return fmt.Errorf("logstore: csv line %d: log exceeds %d cells", line, maxCells)
-		}
-		for i := 0; i < rounds; i++ {
-			cl.Rounds = append(cl.Rounds, &measure.RoundLog{SiteFeatures: make([]measure.Bitset, len(l.Domains))})
-		}
-		l.Cases[measure.Case(parts[1])] = cl
-	}
-	return nil
-}
-
-// row parses one observation row, case,round,site,ids, in place: the
-// fields are found with bytes.IndexByte and the numbers read digit by
+// decodeCSVRow parses one observation row, case,round,site,ids, in place:
+// the fields are found with bytes.IndexByte and the numbers read digit by
 // digit. Anything but plain digits and spaces takes the strconv path, so
 // a row means exactly what strconv.Atoi and strings.Fields make of it.
-func (d *csvDecoder) row(text []byte) error {
-	l, line := d.l, d.line
+func decodeCSVRow(l *measure.Log, text []byte, line int) error {
 	var fields [4][]byte
 	rest := text
 	for i := 0; i < 3; i++ {

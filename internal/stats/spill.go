@@ -66,12 +66,20 @@ func FromSpillStream(stdOf []standards.Abbrev, cases []measure.Case, s *logstore
 //
 // Records go straight from the stream's borrowed bitset into AddVisit,
 // which only borrows it too, so replaying allocates nothing per visit.
+//
+// A site's end marker follows every record of the site, so a record after
+// it means a corrupt or spliced stream; Replay rejects it rather than fold
+// the site a second time.
 func Replay(agg *Aggregate, s *logstore.SpillStream) error {
 	if agg.cfg.NumFeatures != s.NumFeatures() || agg.cfg.NumSites != len(s.Domains()) {
 		return fmt.Errorf("stats: replaying a %d-feature × %d-site spill into a %d × %d aggregate",
 			s.NumFeatures(), len(s.Domains()), agg.cfg.NumFeatures, agg.cfg.NumSites)
 	}
+	ended := make([]bool, agg.cfg.NumSites)
 	return s.Scan(func(rec logstore.SpillRecord) error {
+		if ended[rec.Site] && rec.Kind != logstore.SpillSiteEnd {
+			return fmt.Errorf("stats: spill record for site %d after its end marker", rec.Site)
+		}
 		switch rec.Kind {
 		case logstore.SpillObservation:
 			return agg.AddVisit(Visit{
@@ -85,6 +93,7 @@ func Replay(agg *Aggregate, s *logstore.SpillStream) error {
 		case logstore.SpillFailure:
 			return agg.AddFailure(rec.Site)
 		case logstore.SpillSiteEnd:
+			ended[rec.Site] = true
 			return agg.EndSite(rec.Site)
 		}
 		return nil
