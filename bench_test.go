@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/crawler"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/report"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
@@ -43,7 +45,7 @@ var (
 func sharedStudy(b *testing.B) (*core.Study, *core.Results) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchStudy, benchErr = core.NewStudy(core.Config{Sites: benchSites, Seed: 42, Parallelism: 8})
+		benchStudy, benchErr = core.NewStudy(core.Config{Sites: benchSites, Seed: 42, Shards: 2, ShardWorkers: 4})
 		if benchErr != nil {
 			return
 		}
@@ -53,6 +55,17 @@ func sharedStudy(b *testing.B) (*core.Study, *core.Results) {
 		b.Fatal(benchErr)
 	}
 	return benchStudy, benchResults
+}
+
+// survey crawls web with cfg on the pipeline engine's default geometry: one
+// shard of four workers.
+func survey(b *testing.B, web *synthweb.Web, bind *webapi.Bindings, cfg crawler.Config) *pipeline.Result {
+	b.Helper()
+	res, err := pipeline.New(web, bind, pipeline.Config{Crawl: cfg}).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkFigure1 regenerates the browser-complexity time series.
@@ -238,13 +251,9 @@ func BenchmarkSurveySmall(b *testing.B) {
 	cfg := crawler.DefaultConfig(5)
 	cfg.Cases = []measure.Case{measure.CaseDefault}
 	cfg.Rounds = 1
-	cfg.Parallelism = 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(web, bind, cfg)
-		if _, _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
+		survey(b, web, bind, cfg)
 	}
 }
 
@@ -273,12 +282,7 @@ func BenchmarkAblationPathNovelty(b *testing.B) {
 			cfg.PathNoveltyPreference = novelty
 			var discovered int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := analysis.New(log, reg)
+				a := analysis.New(survey(b, web, bind, cfg).Log, reg)
 				discovered = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(discovered), "standards-discovered")
@@ -306,12 +310,7 @@ func BenchmarkAblationActionBudget(b *testing.B) {
 			cfg.PageSeconds = seconds
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				fs := log.FeatureSites(measure.CaseDefault)
+				fs := survey(b, web, bind, cfg).Log.FeatureSites(measure.CaseDefault)
 				used = 0
 				for _, n := range fs {
 					if n > 0 {
@@ -343,12 +342,7 @@ func BenchmarkAblationRounds(b *testing.B) {
 			cfg.Rounds = rounds
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, _, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := analysis.New(log, reg)
+				a := analysis.New(survey(b, web, bind, cfg).Log, reg)
 				used = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(used), "standards-discovered")
@@ -400,14 +394,9 @@ func BenchmarkAblationBranch(b *testing.B) {
 			var pages int64
 			var used int
 			for i := 0; i < b.N; i++ {
-				c := crawler.New(web, bind, cfg)
-				log, stats, err := c.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages = stats.PagesVisited
-				a := analysis.New(log, reg)
-				used = a.UsedStandards(measure.CaseDefault)
+				res := survey(b, web, bind, cfg)
+				pages = res.Stats.PagesVisited
+				used = analysis.New(res.Log, reg).UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(pages), "pages")
 			b.ReportMetric(float64(used), "standards-discovered")
@@ -433,13 +422,7 @@ func BenchmarkClosedWebCrawl(b *testing.B) {
 	cfg.WithCredentials = true
 	var used int
 	for i := 0; i < b.N; i++ {
-		c := crawler.New(web, bind, cfg)
-		log, _, err := c.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		a := analysis.New(log, reg)
-		used = a.UsedStandards(measure.CaseDefault)
+		used = analysis.New(survey(b, web, bind, cfg).Log, reg).UsedStandards(measure.CaseDefault)
 	}
 	b.ReportMetric(float64(used), "standards-incl-closed-web")
 }

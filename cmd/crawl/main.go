@@ -7,14 +7,15 @@
 //
 // At -sites 10000 the run reproduces the paper's full scale (four browser
 // configurations, five rounds, 13 pages per visit). The survey executes on
-// the sharded internal/pipeline engine (-shards partitions × workers);
-// -shards 0 falls back to the legacy sequential loop. Both produce the same
-// log for a seed.
+// the sharded internal/pipeline engine (-shards partitions × -workers per
+// shard); every geometry produces the same log for a seed. Unlike
+// cmd/pipeline, crawl can fetch over real HTTP (-http) and takes any list
+// of browser configurations (-cases).
 //
 // -format picks the log encoding (csv or binary); readers auto-detect, so
 // either loads anywhere a log is accepted. -cache memoizes visit outcomes
 // on disk so a re-run with an overlapping configuration skips completed
-// visits (pipeline engine only, -shards ≥ 1).
+// visits.
 package main
 
 import (
@@ -31,17 +32,17 @@ import (
 
 func main() {
 	var (
-		sites       = flag.Int("sites", 1000, "number of ranked sites to generate and crawl")
-		seed        = flag.Int64("seed", 42, "deterministic seed for generation and crawling")
-		rounds      = flag.Int("rounds", 5, "visits per (site, configuration)")
-		parallelism = flag.Int("parallelism", 8, "total concurrent site workers")
-		shards      = flag.Int("shards", 4, "site partitions for the pipeline engine; 0 = legacy sequential loop")
-		cases       = flag.String("cases", "default,blocking,adblock,ghostery", "comma-separated browser configurations")
-		useHTTP     = flag.Bool("http", false, "fetch through a real net/http server instead of in-process")
-		out         = flag.String("out", "", "write the measurement log to this file")
-		format      = flag.String("format", "csv", "log encoding for -out: csv or binary")
-		cacheDir    = flag.String("cache", "", "visit cache directory; re-runs skip cached visits (needs -shards >= 1)")
-		cacheLimit  = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
+		sites      = flag.Int("sites", 1000, "number of ranked sites to generate and crawl")
+		seed       = flag.Int64("seed", 42, "deterministic seed for generation and crawling")
+		rounds     = flag.Int("rounds", 5, "visits per (site, configuration)")
+		shards     = flag.Int("shards", 4, "site partitions crawled independently (0 = one)")
+		workers    = flag.Int("workers", 2, "browser workers per shard")
+		cases      = flag.String("cases", "default,blocking,adblock,ghostery", "comma-separated browser configurations")
+		useHTTP    = flag.Bool("http", false, "fetch through a real net/http server instead of in-process")
+		out        = flag.String("out", "", "write the measurement log to this file")
+		format     = flag.String("format", "csv", "log encoding for -out: csv or binary")
+		cacheDir   = flag.String("cache", "", "visit cache directory; re-runs skip cached visits")
+		cacheLimit = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
 	)
 	flag.Parse()
 
@@ -53,17 +54,12 @@ func main() {
 		}
 	}
 
-	if *cacheDir != "" && *shards <= 0 {
-		fmt.Fprintln(os.Stderr, "crawl: -cache requires the pipeline engine (-shards >= 1)")
-		os.Exit(2)
-	}
-
 	study, err := core.NewStudy(core.Config{
 		Sites:         *sites,
 		Seed:          *seed,
 		Rounds:        *rounds,
-		Parallelism:   *parallelism,
 		Shards:        *shards,
+		ShardWorkers:  *workers,
 		Cases:         cs,
 		UseHTTP:       *useHTTP,
 		LogFormat:     *format,

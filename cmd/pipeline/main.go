@@ -15,8 +15,8 @@
 //	blocking  default + AdBlock Plus + Ghostery combined (the paper's pair)
 //	all       every configuration (adds the Figure 7 singles)
 //
-// Sharding never changes results: the log is byte-identical to a sequential
-// crawl of the same seed, only faster.
+// Sharding never changes results: every -shards × -workers geometry writes
+// the byte-identical log for a seed, only faster or slower.
 //
 // -cache memoizes visit outcomes on disk: a second run with an overlapping
 // configuration skips every completed visit (the hit counters printed at
@@ -106,9 +106,6 @@ func main() {
 		checkpoint = flag.String("checkpoint", "", "coordinator: journal committed leases to this file; restarting over it re-issues only unfinished leases")
 		seedSpills = flag.String("seed-spills", "", "coordinator: spill-file glob from a crashed single-machine run of the same study; fully covered leases merge without re-crawling")
 		reconnect  = flag.Int("reconnect", 0, "worker: survive coordinator restarts, redialing with backoff up to this many consecutive failed attempts (0 = exit on disconnect)")
-		noReuse    = flag.Bool("no-browser-reuse", false, "ablation: disable the browser revisit fast path (results identical)")
-		noCompile  = flag.Bool("no-script-compile", false, "ablation: run scripts on the AST interpreter instead of compiled ops (results identical)")
-		noIndex    = flag.Bool("no-matcher-index", false, "ablation: use the linear ABP rule scan instead of the tokenized index (results identical)")
 	)
 	flag.Parse()
 
@@ -146,14 +143,11 @@ func main() {
 
 	if *workerAddr != "" {
 		if err := runWorker(ctxRoot, *workerAddr, *spillDir, *reconnect, core.Config{
-			Shards:               *shards,
-			ShardWorkers:         *workers,
-			BatchSize:            *batch,
-			CacheDir:             *cacheDir,
-			CacheMaxBytes:        *cacheLimit,
-			DisableBrowserReuse:  *noReuse,
-			DisableScriptCompile: *noCompile,
-			DisableMatcherIndex:  *noIndex,
+			Shards:        *shards,
+			ShardWorkers:  *workers,
+			BatchSize:     *batch,
+			CacheDir:      *cacheDir,
+			CacheMaxBytes: *cacheLimit,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -168,22 +162,19 @@ func main() {
 	}
 
 	study, err := core.NewStudy(core.Config{
-		Sites:                *sites,
-		Seed:                 *seed,
-		Rounds:               *rounds,
-		Cases:                prof.Cases(),
-		Shards:               *shards,
-		ShardWorkers:         *workers,
-		BatchSize:            *batch,
-		LogFormat:            *format,
-		CacheDir:             *cacheDir,
-		CacheMaxBytes:        *cacheLimit,
-		SpillDir:             *spillDir,
-		SpillOnly:            *spillOnly,
-		Resume:               *resume,
-		DisableBrowserReuse:  *noReuse,
-		DisableScriptCompile: *noCompile,
-		DisableMatcherIndex:  *noIndex,
+		Sites:         *sites,
+		Seed:          *seed,
+		Rounds:        *rounds,
+		Cases:         prof.Cases(),
+		Shards:        *shards,
+		ShardWorkers:  *workers,
+		BatchSize:     *batch,
+		LogFormat:     *format,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheLimit,
+		SpillDir:      *spillDir,
+		SpillOnly:     *spillOnly,
+		Resume:        *resume,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -1,9 +1,10 @@
 // Command report regenerates the paper's tables and figures. It either
-// re-runs the survey (default) or reads measurements produced by cmd/crawl
-// or cmd/pipeline, then renders the requested artifact (or everything). The
-// log's format — CSV, binary, even a spill file — is auto-detected from its
-// magic bytes; pointing -log at anything else reports "unknown log format"
-// with the bytes found.
+// re-runs the survey (default, on the pipeline engine at -shards × -workers;
+// every geometry renders the same report) or reads measurements produced by
+// cmd/crawl or cmd/pipeline, then renders the requested artifact (or
+// everything). The log's format — CSV, binary, even a spill file — is
+// auto-detected from its magic bytes; pointing -log at anything else
+// reports "unknown log format" with the bytes found.
 //
 // -spills takes a glob of per-shard spill files from a spill-only run and
 // merges them through the streaming stats layer: the full log is never
@@ -37,21 +38,18 @@ import (
 
 func main() {
 	var (
-		sites       = flag.Int("sites", 1000, "ranking size (must match the log if -log is given)")
-		seed        = flag.Int64("seed", 42, "deterministic seed (must match the log if -log is given)")
-		parallelism = flag.Int("parallelism", 8, "concurrent site workers when re-running the survey")
-		shards      = flag.Int("shards", 4, "site partitions when re-running the survey; 0 = sequential loop")
-		logPath     = flag.String("log", "", "read measurements from this log file (format auto-detected) instead of crawling")
-		spillsGlob  = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory; per-site artifacts unavailable)")
-		cacheDir    = flag.String("cache", "", "visit cache directory for survey re-runs (needs -shards >= 1)")
-		cacheLimit  = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
-		only        = flag.String("only", "", "render one artifact: figure1|figure3|figure4|figure5|figure6|figure7|figure8|figure9|table1|table2|table3|headlines")
+		sites      = flag.Int("sites", 1000, "ranking size (must match the log if -log is given)")
+		seed       = flag.Int64("seed", 42, "deterministic seed (must match the log if -log is given)")
+		shards     = flag.Int("shards", 4, "site partitions when re-running the survey (0 = one)")
+		workers    = flag.Int("workers", 2, "browser workers per shard when re-running the survey")
+		logPath    = flag.String("log", "", "read measurements from this log file (format auto-detected) instead of crawling")
+		spillsGlob = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory; per-site artifacts unavailable)")
+		cacheDir   = flag.String("cache", "", "visit cache directory for survey re-runs")
+		cacheLimit = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
+		only       = flag.String("only", "", "render one artifact: figure1|figure3|figure4|figure5|figure6|figure7|figure8|figure9|table1|table2|table3|headlines")
 	)
 	flag.Parse()
 
-	if *cacheDir != "" && *shards <= 0 {
-		fatal(fmt.Errorf("report: -cache requires the pipeline engine (-shards >= 1)"))
-	}
 	if *logPath != "" && *spillsGlob != "" {
 		fatal(fmt.Errorf("report: -log and -spills are mutually exclusive"))
 	}
@@ -59,8 +57,8 @@ func main() {
 	study, err := core.NewStudy(core.Config{
 		Sites:         *sites,
 		Seed:          *seed,
-		Parallelism:   *parallelism,
 		Shards:        *shards,
+		ShardWorkers:  *workers,
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheLimit,
 	})

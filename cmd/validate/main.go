@@ -19,18 +19,18 @@ import (
 
 func main() {
 	var (
-		sites       = flag.Int("sites", 500, "ranking size")
-		seed        = flag.Int64("seed", 42, "deterministic seed")
-		parallelism = flag.Int("parallelism", 8, "concurrent site workers")
-		humans      = flag.Int("humans", 92, "external-validation sample size (paper: 92)")
+		sites   = flag.Int("sites", 500, "ranking size")
+		seed    = flag.Int64("seed", 42, "deterministic seed")
+		workers = flag.Int("workers", 8, "browser workers of the survey's one shard")
+		humans  = flag.Int("humans", 92, "external-validation sample size (paper: 92)")
 	)
 	flag.Parse()
 
 	study, err := core.NewStudy(core.Config{
-		Sites:       *sites,
-		Seed:        *seed,
-		Parallelism: *parallelism,
-		HumanSample: *humans,
+		Sites:        *sites,
+		Seed:         *seed,
+		ShardWorkers: *workers,
+		HumanSample:  *humans,
 		// Validation only needs the default configuration.
 		Cases: []measure.Case{measure.CaseDefault},
 	})

@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
 
 	"repro/internal/crawler"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
@@ -43,14 +45,13 @@ func main() {
 		cfg := crawler.DefaultConfig(42)
 		cfg.Cases = []measure.Case{measure.CaseDefault}
 		cfg.WithCredentials = withCreds
-		c := crawler.New(web, bind, cfg)
-		logm, _, err := c.Run()
+		res, err := pipeline.New(web, bind, pipeline.Config{Crawl: cfg}).Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
 		out := map[standards.Abbrev]int{}
 		for site := range web.Sites {
-			u := logm.SiteUnion(measure.CaseDefault, site)
+			u := res.Log.SiteUnion(measure.CaseDefault, site)
 			if u == nil {
 				continue
 			}

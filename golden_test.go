@@ -120,6 +120,57 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestOracleMatchesGolden checks the survey engine's oracle against the
+// committed csv-log digests. The oracle is the paper's method (§4.3) as one
+// single-threaded loop: site, then case, then round, each visit a
+// crawler.Visitor.CrawlOnce at its VisitSeed recorded into a measure.Log. A
+// failed visit ends the site's case and clears its Measured flag. TestGolden
+// holds the sharded pipeline to the same digests.
+func TestOracleMatchesGolden(t *testing.T) {
+	for _, p := range goldenPoints {
+		t.Run(p.name, func(t *testing.T) {
+			study, err := core.NewStudy(core.Config{Sites: p.sites, Seed: p.seed, Rounds: p.rounds, Cases: p.cases})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer study.Close()
+			cfg := crawler.DefaultConfig(p.seed)
+			cfg.Rounds, cfg.Cases = p.rounds, p.cases
+			cr := crawler.New(study.Web, study.Bindings, cfg)
+			log := measure.NewLog(len(study.Registry.Features), study.Domains())
+			for _, site := range study.Web.Sites {
+				failed := false
+				for _, cs := range cfg.Cases {
+					v, err := cr.NewVisitor(cs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for round := 0; round < cfg.Rounds; round++ {
+						counts, pages, err := v.CrawlOnce(site, crawler.VisitSeed(cfg.Seed, site.Index, cs, round))
+						if err != nil {
+							failed = true
+							break
+						}
+						log.Record(cs, round, site.Index, counts, pages)
+					}
+				}
+				if failed {
+					log.Measured[site.Index] = false
+				}
+			}
+
+			var csvLog bytes.Buffer
+			if err := (logstore.CSV{}).Encode(&csvLog, log); err != nil {
+				t.Fatal(err)
+			}
+			want := goldenDigests(t, filepath.Join("testdata", "golden", p.name+".txt"))["csv-log"]
+			if got := digestLine("csv-log", csvLog.Bytes()); got != want {
+				t.Errorf("oracle csv-log differs from the golden digest:\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
 // canonicalSpill reads a run's spill files and re-appends their records
 // through one logstore.Writer in a fixed order: sites ascending, and within
 // a site its observations by case then round, then its failures, then its
@@ -262,19 +313,26 @@ func checkGolden(t *testing.T, path, point string, got []goldenEntry) {
 		}
 		return
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	want := make(map[string]string)
-	for _, line := range strings.Split(string(raw), "\n") {
-		if name, _, ok := strings.Cut(line, " sha256="); ok && !strings.HasPrefix(line, " ") {
-			want[name] = line
-		}
-	}
+	want := goldenDigests(t, path)
 	for _, e := range got {
 		if want[e.name] != e.digest {
 			t.Errorf("%s moved:\n got %s\nwant %s", e.name, e.digest, want[e.name])
 		}
 	}
+}
+
+// goldenDigests reads a golden file's digest lines, keyed by artifact name.
+func goldenDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	digests := make(map[string]string)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, _, ok := strings.Cut(line, " sha256="); ok && !strings.HasPrefix(line, " ") {
+			digests[name] = line
+		}
+	}
+	return digests
 }

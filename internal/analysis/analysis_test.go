@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cve"
 	"repro/internal/firefoxhist"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
@@ -35,13 +37,12 @@ func surveyed(t testing.TB) (*synthweb.Web, *Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := crawler.New(web, webapi.NewBindings(reg), crawler.DefaultConfig(17))
-	log, _, err := c.Run()
+	res, err := pipeline.New(web, webapi.NewBindings(reg), pipeline.Config{Crawl: crawler.DefaultConfig(17)}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharedWeb = web
-	sharedAna = New(log, reg)
+	sharedAna = New(res.Log, reg)
 	sharedHist = firefoxhist.New(reg)
 	return web, sharedAna
 }

@@ -19,9 +19,9 @@
 // Analysis is safe for concurrent use when its Source is.
 //
 // Analysis consumes only measured data — never the synthetic web's
-// calibration profile — so the same code analyzes logs from the sequential
-// crawler, the sharded internal/pipeline engine, a CSV written by an
-// earlier run, or the merged spill stream of a spill-only survey.
+// calibration profile — so the same code analyzes logs from the
+// internal/pipeline engine, a CSV written by an earlier run, or the merged
+// spill stream of a spill-only survey.
 // TopFeatures and FeatureDeltas render the headline tables the
 // cmd/pipeline binary prints: per-feature popularity and the per-feature
 // usage drops caused by content blocking.

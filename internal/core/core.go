@@ -37,16 +37,12 @@ type Config struct {
 	// Cases lists the browser configurations; nil means all four
 	// (default, blocking, ad-only, tracker-only).
 	Cases []measure.Case
-	// Parallelism is the crawl worker count; 0 means 4. It applies to
-	// the sequential crawler (Shards == 0) and, divided across shards,
-	// to the pipeline when ShardWorkers is unset.
-	Parallelism int
-	// Shards routes the survey through the sharded internal/pipeline
-	// engine with this many site partitions; 0 keeps the sequential
-	// crawler loop. Both paths produce identical logs for a seed.
+	// Shards is the number of site partitions the internal/pipeline
+	// engine crawls independently; 0 means one. Every geometry produces
+	// the same log for a seed.
 	Shards int
-	// ShardWorkers is the number of browser workers per shard; 0 derives
-	// it from Parallelism as a total budget the engine never exceeds.
+	// ShardWorkers is the number of browser workers per shard; 0 means
+	// the engine default of 4.
 	ShardWorkers int
 	// BatchSize is the pipeline's visit-merge batch size; 0 picks the
 	// engine default.
@@ -62,20 +58,18 @@ type Config struct {
 	// auto-detects, so the format only matters when writing.
 	LogFormat string
 	// CacheDir, when non-empty, memoizes visit outcomes on disk so
-	// re-runs with overlapping configs skip completed visits. The cache
-	// is consulted by the sharded pipeline engine (Shards > 0).
+	// re-runs with overlapping configs skip completed visits.
 	CacheDir string
 	// SpillDir, when non-empty, streams each pipeline shard's completed
-	// visits to a spill file in this directory (Shards > 0 only);
-	// logstore.ReadSpillFiles reassembles them into the full log and
-	// stats.FromSpills folds them into a warm aggregate.
+	// visits to a spill file in this directory; logstore.ReadSpillFiles
+	// reassembles them into the full log and stats.FromSpills folds them
+	// into a warm aggregate.
 	SpillDir string
-	// SpillOnly drops the in-memory log (Shards > 0 only): each shard
-	// folds its visits into a mergeable stats aggregate, Results.Log is
-	// nil, and memory stays bounded regardless of site count. Aggregate
-	// statistics — and so every headline table — are identical to an
-	// in-memory run's. Combine with SpillDir to keep the full log on
-	// disk.
+	// SpillOnly drops the in-memory log: each shard folds its visits into
+	// a mergeable stats aggregate, Results.Log is nil, and memory stays
+	// bounded regardless of site count. Aggregate statistics — and so
+	// every headline table — are identical to an in-memory run's.
+	// Combine with SpillDir to keep the full log on disk.
 	SpillOnly bool
 	// CacheMaxBytes caps the visit cache's on-disk size; once entries
 	// exceed it the least-recently-used are pruned (a manifest in the
@@ -95,15 +89,6 @@ type Config struct {
 	// fault-injection tests wrap each shard's spill file writer to tear
 	// writes at deterministic points. Production runs leave it nil.
 	SpillTap func(shard int, w io.Writer) io.Writer
-	// DisableBrowserReuse, DisableScriptCompile, and DisableMatcherIndex
-	// are ablation/debugging knobs forwarding to the matching
-	// crawler.Config fields: respectively they disable the browser's
-	// revisit fast path, the compiled-WebScript execution path, and the
-	// ABP matcher's rule index. Survey logs are byte-identical with any
-	// combination (test-enforced).
-	DisableBrowserReuse  bool
-	DisableScriptCompile bool
-	DisableMatcherIndex  bool
 }
 
 // Study is a fully constructed experiment environment.
@@ -130,7 +115,7 @@ type Results struct {
 	Stats *crawler.Stats
 	// Agg is the warm statistics source — the mergeable aggregate
 	// maintained while the survey ran, or an immutable snapshot of one;
-	// nil for the sequential engine, which records straight into the log.
+	// nil for Results assembled from a saved log.
 	Agg      stats.Source
 	Analysis *analysis.Analysis
 	// Resumed counts the sites replayed from a previous crashed life's
@@ -147,20 +132,14 @@ func NewStudy(cfg Config) (*Study, error) {
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 5
 	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = 4
-	}
 	if len(cfg.Cases) == 0 {
 		cfg.Cases = measure.AllCases()
 	}
 	if cfg.HumanSample == 0 {
 		cfg.HumanSample = 92
 	}
-	if cfg.SpillOnly && cfg.Shards <= 0 {
-		return nil, fmt.Errorf("core: spill-only mode requires the pipeline engine (Shards > 0)")
-	}
-	if cfg.Resume && (cfg.SpillDir == "" || cfg.Shards <= 0) {
-		return nil, fmt.Errorf("core: resume requires a spill directory and the pipeline engine (Shards > 0)")
+	if cfg.Resume && cfg.SpillDir == "" {
+		return nil, fmt.Errorf("core: resume requires a spill directory")
 	}
 
 	if cfg.LogFormat == "" {
@@ -213,7 +192,8 @@ func (s *Study) Close() error {
 	return nil
 }
 
-// crawler builds the configured sequential crawler.
+// crawler builds the configured crawler, which runs the human-visit
+// protocol of external validation.
 func (s *Study) crawler() *crawler.Crawler {
 	c := crawler.New(s.Web, s.Bindings, s.crawlConfig())
 	if s.server != nil {
@@ -223,23 +203,19 @@ func (s *Study) crawler() *crawler.Crawler {
 	return c
 }
 
-// crawlConfig is the survey methodology shared by both execution engines.
+// crawlConfig is the survey methodology.
 func (s *Study) crawlConfig() crawler.Config {
 	ccfg := crawler.DefaultConfig(s.Cfg.Seed)
 	ccfg.Rounds = s.Cfg.Rounds
 	ccfg.Cases = s.Cfg.Cases
-	ccfg.Parallelism = s.Cfg.Parallelism
-	ccfg.DisableBrowserReuse = s.Cfg.DisableBrowserReuse
-	ccfg.DisableScriptCompile = s.Cfg.DisableScriptCompile
-	ccfg.DisableMatcherIndex = s.Cfg.DisableMatcherIndex
 	return ccfg
 }
 
 // cacheScope fingerprints everything beyond (VisitSeed, case) that shapes a
 // visit's outcome: the synthetic web (site count + generation seed) and the
-// per-visit methodology. Rounds, cases, and parallelism are deliberately
-// absent — rounds and cases are part of the visit key, and parallelism
-// never changes results — so overlapping configs share cache entries while
+// per-visit methodology. Rounds, cases, and engine geometry are deliberately
+// absent — rounds and cases are part of the visit key, and geometry never
+// changes results — so overlapping configs share cache entries while
 // a different web or methodology can never replay stale outcomes.
 func (s *Study) cacheScope() string {
 	ccfg := s.crawlConfig()
@@ -248,84 +224,60 @@ func (s *Study) cacheScope() string {
 		ccfg.PathNoveltyPreference, ccfg.WithCredentials)
 }
 
-// RunSurvey executes the full automated survey, through the sharded
-// pipeline engine when Cfg.Shards > 0 and the sequential crawler otherwise.
+// RunSurvey executes the full automated survey on the pipeline engine.
 func (s *Study) RunSurvey() (*Results, error) {
 	return s.RunSurveyContext(context.Background())
 }
 
-// RunSurveyContext is RunSurvey with cancellation; the context only applies
-// to the pipeline path (the sequential crawler has no cancellation points).
+// RunSurveyContext is RunSurvey with cancellation.
 func (s *Study) RunSurveyContext(ctx context.Context) (*Results, error) {
-	if s.Cfg.Shards > 0 {
-		eng := s.pipeline()
-		resumed := 0
-		if s.Cfg.Resume {
-			// Fold whatever the previous life durably committed — whole
-			// shard files and the valid prefixes of torn .partial ones —
-			// into one clean stream, replay it, and crawl the rest.
-			comp, err := logstore.CompactSpillDir(s.Cfg.SpillDir, len(s.Registry.Features), s.domains())
-			if err != nil {
-				return nil, fmt.Errorf("core: scanning spill dir for resume: %w", err)
-			}
-			if len(comp.Committed) > 0 {
-				committed := make(map[int]bool, len(comp.Committed))
-				for _, site := range comp.Committed {
-					committed[site] = true
-				}
-				remainder := make([]int, 0, len(s.Web.Sites)-len(comp.Committed))
-				for i := range s.Web.Sites {
-					if !committed[i] {
-						remainder = append(remainder, i)
-					}
-				}
-				eng.Cfg.ResumeSpills = []string{comp.Path}
-				eng.Cfg.Sites = remainder
-				resumed = len(comp.Committed)
-			}
-		}
-		res, err := eng.Run(ctx)
+	eng := s.pipeline()
+	resumed := 0
+	if s.Cfg.Resume {
+		// Fold whatever the previous life durably committed — whole shard
+		// files and the valid prefixes of torn .partial ones — into one
+		// clean stream, replay it, and crawl the rest.
+		comp, err := logstore.CompactSpillDir(s.Cfg.SpillDir, len(s.Registry.Features), s.domains())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: scanning spill dir for resume: %w", err)
 		}
-		// The engine maintained a mergeable aggregate alongside the
-		// crawl, so analysis starts warm — no log rescan. Spill-only
-		// runs have no log at all; per-site queries then return nil.
-		var a *analysis.Analysis
-		if res.Log != nil {
-			a = analysis.NewWarm(res.Log, res.Agg, s.Registry)
-		} else {
-			a = analysis.FromStats(res.Agg, s.Registry)
+		if len(comp.Committed) > 0 {
+			committed := make(map[int]bool, len(comp.Committed))
+			for _, site := range comp.Committed {
+				committed[site] = true
+			}
+			remainder := make([]int, 0, len(s.Web.Sites)-len(comp.Committed))
+			for i := range s.Web.Sites {
+				if !committed[i] {
+					remainder = append(remainder, i)
+				}
+			}
+			eng.Cfg.ResumeSpills = []string{comp.Path}
+			eng.Cfg.Sites = remainder
+			resumed = len(comp.Committed)
 		}
-		return &Results{Log: res.Log, Stats: res.Stats, Agg: res.Agg, Analysis: a, Resumed: resumed}, nil
 	}
-	log, stats, err := s.crawler().Run()
+	res, err := eng.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Results{Log: log, Stats: stats, Analysis: analysis.New(log, s.Registry)}, nil
+	// The engine maintained a mergeable aggregate alongside the crawl, so
+	// analysis starts warm — no log rescan. Spill-only runs have no log at
+	// all; per-site queries then return nil.
+	var a *analysis.Analysis
+	if res.Log != nil {
+		a = analysis.NewWarm(res.Log, res.Agg, s.Registry)
+	} else {
+		a = analysis.FromStats(res.Agg, s.Registry)
+	}
+	return &Results{Log: res.Log, Stats: res.Stats, Agg: res.Agg, Analysis: a, Resumed: resumed}, nil
 }
 
-// pipeline builds the configured sharded engine. When ShardWorkers is
-// unset, Parallelism (0 meaning 4) is treated as the total worker budget:
-// shards collapse to at most Parallelism and each gets its floor share, so
-// the engine never runs more concurrent workers than asked for.
+// pipeline builds the configured survey engine.
 func (s *Study) pipeline() *pipeline.Engine {
-	shards := s.Cfg.Shards
-	workers := s.Cfg.ShardWorkers
-	if workers <= 0 {
-		par := s.Cfg.Parallelism
-		if par <= 0 {
-			par = 4
-		}
-		if shards > par {
-			shards = par
-		}
-		workers = par / shards
-	}
 	eng := pipeline.New(s.Web, s.Bindings, pipeline.Config{
-		Shards:          shards,
-		WorkersPerShard: workers,
+		Shards:          s.Cfg.Shards,
+		WorkersPerShard: s.Cfg.ShardWorkers,
 		BatchSize:       s.Cfg.BatchSize,
 		Cache:           s.Cache,
 		SpillDir:        s.Cfg.SpillDir,
@@ -387,9 +339,6 @@ func StudyFromSpec(data []byte, opts Config) (*Study, error) {
 	opts.Seed = sp.Seed
 	opts.Rounds = sp.Rounds
 	opts.Cases = sp.Cases
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	opts.SpillOnly = true
 	opts.SpillDir = ""
 	return NewStudy(opts)

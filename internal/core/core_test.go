@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/logstore"
 	"repro/internal/measure"
 )
 
@@ -69,27 +70,28 @@ func TestHTTPModeMatchesDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("HTTP crawl is slow")
 	}
-	direct, dres := smallStudy(t, Config{
+	cfg := Config{
 		Sites: 25, Seed: 33, Rounds: 2,
-		Cases: []measure.Case{measure.CaseDefault}, Parallelism: 2,
-	})
-	httpStudy, hres := smallStudy(t, Config{
-		Sites: 25, Seed: 33, Rounds: 2,
-		Cases: []measure.Case{measure.CaseDefault}, Parallelism: 2,
-		UseHTTP: true,
-	})
-	_ = direct
-	_ = httpStudy
-	// The HTTP hop must be observationally transparent.
-	for site := range dres.Log.Domains {
-		a := dres.Log.SiteUnion(measure.CaseDefault, site)
-		b := hres.Log.SiteUnion(measure.CaseDefault, site)
-		if (a == nil) != (b == nil) {
-			t.Fatalf("site %d measured differently over HTTP", site)
-		}
-		if a != nil && a.Count() != b.Count() {
-			t.Fatalf("site %d features differ over HTTP: %d vs %d", site, a.Count(), b.Count())
-		}
+		Cases:  []measure.Case{measure.CaseDefault, measure.CaseBlocking},
+		Shards: 2,
+	}
+	_, direct := smallStudy(t, cfg)
+	cfg.UseHTTP = true
+	_, overHTTP := smallStudy(t, cfg)
+	// The HTTP hop must be observationally transparent: the same log, byte
+	// for byte, and the same Table 1 summary.
+	var want, got bytes.Buffer
+	if err := (logstore.CSV{}).Encode(&want, direct.Log); err != nil {
+		t.Fatal(err)
+	}
+	if err := (logstore.CSV{}).Encode(&got, overHTTP.Log); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("log over HTTP differs from the direct crawl's (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	if *overHTTP.Stats != *direct.Stats {
+		t.Errorf("stats over HTTP = %+v, want %+v", *overHTTP.Stats, *direct.Stats)
 	}
 }
 
@@ -105,7 +107,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer study.Close()
-	if study.Cfg.Rounds != 5 || study.Cfg.Parallelism != 4 || study.Cfg.HumanSample != 92 {
+	if study.Cfg.Rounds != 5 || study.Cfg.HumanSample != 92 || study.Cfg.LogFormat != "csv" {
 		t.Errorf("defaults not applied: %+v", study.Cfg)
 	}
 	if len(study.Cfg.Cases) != 4 {

@@ -38,8 +38,8 @@ func aggregateReport(t *testing.T, s *Study, res *Results) []byte {
 	return buf.Bytes()
 }
 
-// TestCrashMatrixSingleMachine extends the repo's "parallel ≡
-// sequential" invariant to "crashed-and-resumed ≡ uninterrupted": for
+// TestCrashMatrixSingleMachine extends the repo's "every geometry writes
+// the same bytes" invariant to "crashed-and-resumed ≡ uninterrupted": for
 // every spill write of every shard, a run whose spill stream tears at
 // exactly that write — a seeded faultinject tear, reproducible from the
 // logged (seed, shard, hit) — must, after a resume over the same spill

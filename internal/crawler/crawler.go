@@ -29,8 +29,6 @@ type Config struct {
 	PageSeconds float64
 	// ActionsPerSecond is the gremlin action rate.
 	ActionsPerSecond float64
-	// Parallelism is the number of concurrent site workers.
-	Parallelism int
 	// Seed drives every random choice.
 	Seed int64
 	// Cases lists the browser configurations to run; defaults to the
@@ -69,7 +67,6 @@ func DefaultConfig(seed int64) Config {
 		Branch:                3,
 		PageSeconds:           30,
 		ActionsPerSecond:      2,
-		Parallelism:           4,
 		Seed:                  seed,
 		Cases:                 measure.AllCases(),
 		PathNoveltyPreference: true,
@@ -139,12 +136,6 @@ func (c *Crawler) blockers() (*blocking.Engine, *blocking.TrackerDB, error) {
 	return c.abpEngine, c.trackerDB, c.blockersErr
 }
 
-// caseNeedsBlockers reports whether the configuration installs any blocking
-// extension.
-func caseNeedsBlockers(cs measure.Case) bool {
-	return cs == measure.CaseBlocking || cs == measure.CaseAdBlock || cs == measure.CaseGhostery
-}
-
 // extensionsFor builds the extension stack for a case. The measurer always
 // rides along; blockers depend on the case.
 func (c *Crawler) extensionsFor(cs measure.Case, m *extension.Measurer) ([]browser.Extension, error) {
@@ -167,103 +158,10 @@ func (c *Crawler) extensionsFor(cs measure.Case, m *extension.Measurer) ([]brows
 	return exts, nil
 }
 
-// Run executes the full survey and returns the measurement log and summary
-// statistics.
-func (c *Crawler) Run() (*measure.Log, *Stats, error) {
-	cfg := c.Cfg
-	if cfg.Rounds <= 0 || cfg.Branch <= 0 {
-		return nil, nil, fmt.Errorf("crawler: invalid config %+v", cfg)
-	}
-	if cfg.Parallelism <= 0 {
-		cfg.Parallelism = 1
-	}
-	if len(cfg.Cases) == 0 {
-		cfg.Cases = measure.AllCases()
-	}
-
-	domains := make([]string, len(c.Web.Sites))
-	for i, s := range c.Web.Sites {
-		domains[i] = s.Domain
-	}
-	log := measure.NewLog(len(c.Web.Registry.Features), domains)
-
-	// Surface blocker parse errors up front instead of inside workers:
-	// they are deterministic, identical across workers, and fatal. A
-	// default-only survey never touches the blocker texts, so it must
-	// not fail on them either.
-	for _, cs := range cfg.Cases {
-		if caseNeedsBlockers(cs) {
-			if _, _, err := c.blockers(); err != nil {
-				return nil, nil, err
-			}
-			break
-		}
-	}
-
-	var mu sync.Mutex
-	stats := &Stats{}
-	failedSites := make(map[int]bool)
-
-	sites := make(chan *synthweb.Site)
-	var wg sync.WaitGroup
-	for workerID := 0; workerID < cfg.Parallelism; workerID++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns one browser per case, sharing the
-			// script cache across the sites it processes.
-			workers := make(map[measure.Case]*Visitor)
-			for _, cs := range cfg.Cases {
-				v, err := c.newVisitor(cs, cfg)
-				if err != nil {
-					return
-				}
-				workers[cs] = v
-			}
-			for site := range sites {
-				for _, cs := range cfg.Cases {
-					w := workers[cs]
-					for round := 0; round < cfg.Rounds; round++ {
-						seed := VisitSeed(cfg.Seed, site.Index, cs, round)
-						counts, pages, err := w.CrawlOnce(site, seed)
-						mu.Lock()
-						if err != nil {
-							failedSites[site.Index] = true
-							mu.Unlock()
-							break
-						}
-						log.Record(cs, round, site.Index, counts, pages)
-						stats.PagesVisited += int64(pages)
-						stats.InteractionSeconds += float64(pages) * cfg.PageSeconds
-						for _, n := range counts {
-							stats.Invocations += n
-						}
-						mu.Unlock()
-					}
-				}
-			}
-		}()
-	}
-	for _, s := range c.Web.Sites {
-		sites <- s
-	}
-	close(sites)
-	wg.Wait()
-
-	for i := range c.Web.Sites {
-		if failedSites[i] {
-			log.Measured[i] = false
-		}
-	}
-	stats.DomainsMeasured = log.MeasuredCount()
-	stats.DomainsFailed = len(c.Web.Sites) - stats.DomainsMeasured
-	return log, stats, nil
-}
-
 // VisitSeed derives the deterministic seed of one visit. Every scheduler —
-// the sequential Run loop here and the sharded engine in internal/pipeline —
-// must use this derivation so a visit's randomness depends only on
-// (base seed, site, case, round), never on which worker performs it.
+// the sharded engine in internal/pipeline and the single-threaded test
+// oracle alike — must use this derivation so a visit's randomness depends
+// only on (base seed, site, case, round), never on which worker performs it.
 func VisitSeed(base int64, site int, cs measure.Case, round int) int64 {
 	var caseSalt int64
 	for _, b := range []byte(cs) {
@@ -302,10 +200,6 @@ type Visitor struct {
 // NewVisitor builds a single-goroutine visitor for one browser
 // configuration, wiring the measurer and the case's blocking extensions.
 func (c *Crawler) NewVisitor(cs measure.Case) (*Visitor, error) {
-	return c.newVisitor(cs, c.Cfg)
-}
-
-func (c *Crawler) newVisitor(cs measure.Case, cfg Config) (*Visitor, error) {
 	m := extension.NewMeasurer()
 	exts, err := c.extensionsFor(cs, m)
 	if err != nil {
@@ -316,11 +210,11 @@ func (c *Crawler) newVisitor(cs measure.Case, cfg Config) (*Visitor, error) {
 		fetcher = c.NewFetcher()
 	}
 	b := browser.New(c.Bindings, fetcher, exts...)
-	b.DisableReuse = cfg.DisableBrowserReuse
-	b.DisableScriptCompile = cfg.DisableScriptCompile
+	b.DisableReuse = c.Cfg.DisableBrowserReuse
+	b.DisableScriptCompile = c.Cfg.DisableScriptCompile
 	return &Visitor{
 		crawler:  c,
-		cfg:      cfg,
+		cfg:      c.Cfg,
 		browser:  b,
 		measurer: m,
 	}, nil
@@ -357,8 +251,8 @@ func (w *Visitor) ensureScratch() {
 //
 // The returned map is the Visitor's interned scratch: it stays valid only
 // until the next CrawlOnce on the same Visitor, so callers that retain the
-// counts past that point must copy them. Both survey engines consume the
-// map (log record, bitset conversion) before the next visit.
+// counts past that point must copy them. The survey engine converts the map
+// to a bitset before the next visit.
 func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int, error) {
 	rng := rand.New(rand.NewSource(seed))
 	w.ensureScratch()

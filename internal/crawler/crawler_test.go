@@ -1,27 +1,28 @@
-package crawler
+package crawler_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/browser"
-	"repro/internal/extension"
+	"repro/internal/crawler"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/standards"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
 	"repro/internal/webidl"
-	"repro/internal/webserver"
 )
 
-// Shared small survey for the package's tests: 120 sites, full methodology.
+// Shared small survey for the package's tests: 120 sites, full methodology,
+// run on the pipeline engine, which drives this package's Visitor.
 var (
 	sharedWeb   *synthweb.Web
 	sharedLog   *measure.Log
-	sharedStats *Stats
+	sharedStats *crawler.Stats
 )
 
-func runSurvey(t testing.TB) (*synthweb.Web, *measure.Log, *Stats) {
+func runSurvey(t testing.TB) (*synthweb.Web, *measure.Log, *crawler.Stats) {
 	t.Helper()
 	if sharedLog != nil {
 		return sharedWeb, sharedLog, sharedStats
@@ -34,14 +35,19 @@ func runSurvey(t testing.TB) (*synthweb.Web, *measure.Log, *Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bind := webapi.NewBindings(reg)
-	c := New(web, bind, DefaultConfig(11))
-	log, stats, err := c.Run()
+	res := survey(t, web, pipeline.Config{Crawl: crawler.DefaultConfig(11)})
+	sharedWeb, sharedLog, sharedStats = web, res.Log, res.Stats
+	return web, res.Log, res.Stats
+}
+
+// survey runs one pipeline survey of web.
+func survey(t testing.TB, web *synthweb.Web, cfg pipeline.Config) *pipeline.Result {
+	t.Helper()
+	res, err := pipeline.New(web, webapi.NewBindings(web.Registry), cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedWeb, sharedLog, sharedStats = web, log, stats
-	return web, log, stats
+	return res
 }
 
 func TestSurveyMeasuresMostDomains(t *testing.T) {
@@ -234,13 +240,9 @@ func TestRoundsDiscoverIncrementally(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	web, log, _ := runSurvey(t)
-	c := New(web, webapi.NewBindings(web.Registry), DefaultConfig(11))
-	c.Cfg.Cases = []measure.Case{measure.CaseDefault}
-	c.Cfg.Parallelism = 2
-	log2, _, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := crawler.DefaultConfig(11)
+	cfg.Cases = []measure.Case{measure.CaseDefault}
+	log2 := survey(t, web, pipeline.Config{Shards: 2, WorkersPerShard: 1, Crawl: cfg}).Log
 	for site := range web.Sites {
 		a := log.SiteUnion(measure.CaseDefault, site)
 		b := log2.SiteUnion(measure.CaseDefault, site)
@@ -259,7 +261,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestHumanVisitObservesFeatures(t *testing.T) {
 	web, _, _ := runSurvey(t)
-	c := New(web, webapi.NewBindings(web.Registry), DefaultConfig(11))
+	c := crawler.New(web, webapi.NewBindings(web.Registry), crawler.DefaultConfig(11))
 	var site *synthweb.Site
 	for _, s := range web.Sites {
 		if s.Failure == synthweb.FailNone {
@@ -298,19 +300,13 @@ func TestUnresponsiveSiteFails(t *testing.T) {
 
 func TestPathNoveltyAblation(t *testing.T) {
 	web, _, _ := runSurvey(t)
-	cfg := DefaultConfig(11)
+	cfg := crawler.DefaultConfig(11)
 	cfg.Cases = []measure.Case{measure.CaseDefault}
 	cfg.Rounds = 1
 	cfg.PathNoveltyPreference = false
-	c := New(web, webapi.NewBindings(web.Registry), cfg)
-	log, stats, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PagesVisited == 0 {
+	if survey(t, web, pipeline.Config{Crawl: cfg}).Stats.PagesVisited == 0 {
 		t.Fatal("ablated crawl visited nothing")
 	}
-	_ = log
 }
 
 func TestCredentialedCrawlSeesClosedWeb(t *testing.T) {
@@ -343,21 +339,18 @@ func TestCredentialedCrawlSeesClosedWeb(t *testing.T) {
 	}
 
 	run := func(withCreds bool) int {
-		cfg := DefaultConfig(77)
+		cfg := crawler.DefaultConfig(77)
 		cfg.Cases = []measure.Case{measure.CaseDefault}
 		cfg.Rounds = 5
 		cfg.WithCredentials = withCreds
-		c := New(web, webapi.NewBindings(web.Registry), cfg)
-		m := extensionMeasurer()
-		exts, err := c.extensionsFor(measure.CaseDefault, m)
+		w, err := crawler.New(web, webapi.NewBindings(web.Registry), cfg).NewVisitor(measure.CaseDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := &Visitor{crawler: c, cfg: cfg, browser: newBrowser(c, exts), measurer: m}
 		total := 0
 		for _, member := range members {
 			for round := 0; round < cfg.Rounds; round++ {
-				counts, _, err := w.CrawlOnce(member, VisitSeed(cfg.Seed, member.Index, measure.CaseDefault, round))
+				counts, _, err := w.CrawlOnce(member, crawler.VisitSeed(cfg.Seed, member.Index, measure.CaseDefault, round))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,26 +368,4 @@ func TestCredentialedCrawlSeesClosedWeb(t *testing.T) {
 	if closed == 0 {
 		t.Error("credentialed crawl observed no closed-web features (paper §7.3 mode)")
 	}
-}
-
-func TestAuthenticateHelper(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"http://a.example/account", "http://a.example/account?auth=" + synthweb.SessionToken},
-		{"http://a.example/account/p1", "http://a.example/account/p1?auth=" + synthweb.SessionToken},
-		{"http://a.example/account?auth=member", "http://a.example/account?auth=member"},
-		{"http://a.example/sec1", "http://a.example/sec1"},
-	}
-	for _, c := range cases {
-		if got := authenticate(c.in); got != c.want {
-			t.Errorf("authenticate(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-// extensionMeasurer and newBrowser are tiny indirections so tests can build
-// workers directly.
-func extensionMeasurer() *extension.Measurer { return extension.NewMeasurer() }
-
-func newBrowser(c *Crawler, exts []browser.Extension) *browser.Browser {
-	return browser.New(c.Bindings, webserver.DirectFetcher{Web: c.Web}, exts...)
 }

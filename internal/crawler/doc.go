@@ -8,13 +8,13 @@
 // (§4.3.1), and the §7.3 closed-web mode authenticates members-area
 // navigations.
 //
-// The package exposes two levels of API. Crawler.Run is the self-contained
-// sequential survey loop. Visitor (via Crawler.NewVisitor) is the
-// single-visit mechanics — browser stack construction, monkey testing, BFS
-// page sampling — that external schedulers drive; internal/pipeline uses it
-// to run the same survey sharded across worker pools. Both derive per-visit
-// randomness from VisitSeed, which is what makes the two execution engines
-// produce identical logs.
+// The package holds the single-visit mechanics and leaves scheduling to
+// internal/pipeline, the one survey engine. Visitor (via
+// Crawler.NewVisitor) builds the browser stack for one configuration and
+// performs monkey-tested, BFS-sampled visits; the engine drives one Visitor
+// per configuration on each of its workers. Per-visit randomness comes only
+// from VisitSeed, so a visit's outcome does not depend on which worker, or
+// which scheduler, performs it.
 //
 // Crawler.HumanVisit implements the paper's external-validation protocol
 // (§6.2): 90 seconds of scripted casual browsing across three pages.

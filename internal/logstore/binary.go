@@ -95,11 +95,9 @@ func (Binary) Decode(r io.Reader) (*measure.Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	domains := make([]string, numDomains)
-	for i := range domains {
-		if domains[i], err = br.str(4096, "domain name"); err != nil {
-			return nil, err
-		}
+	domains, err := br.domains(numDomains)
+	if err != nil {
+		return nil, err
 	}
 	l := measure.NewLog(numFeatures, domains)
 	meas, err := br.bitset(numDomains)

@@ -2,8 +2,10 @@ package logstore
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -176,6 +178,34 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	for name, c := range cases {
 		if _, err := (Binary{}).Decode(bytes.NewReader(c)); err == nil {
 			t.Errorf("%s: Decode should fail", name)
+		}
+	}
+}
+
+// TestHeaderAllocationFollowsBytes feeds a binary log and a spill stream
+// whose headers claim 2,097,150 domains and then end. Decoding must fail
+// having allocated for the bytes present: a []string of the claimed length
+// alone is 33.6 MB.
+func TestHeaderAllocationFollowsBytes(t *testing.T) {
+	claim := []byte{0x01, 0xFE, 0xFF, 0x7F} // 1 feature, then the domain count
+	for _, c := range []struct {
+		name   string
+		magic  string
+		decode func(io.Reader) error
+	}{
+		{"binary", binaryMagic, func(r io.Reader) error { _, err := (Binary{}).Decode(r); return err }},
+		{"spill", spillMagic, func(r io.Reader) error { _, err := OpenSpills(r); return err }},
+	} {
+		data := append([]byte(c.magic), claim...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a header with no domain names decoded", c.name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: decoding a %d-byte header allocated %d bytes", c.name, len(data), grew)
 		}
 	}
 }

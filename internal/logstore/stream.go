@@ -255,13 +255,11 @@ func readSpillHeader(r *binReader) (*spillHeader, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &spillHeader{numFeatures: numFeatures, domains: make([]string, numDomains)}
-	for i := range h.domains {
-		if h.domains[i], err = r.str(4096, "domain name"); err != nil {
-			return nil, err
-		}
+	domains, err := r.domains(numDomains)
+	if err != nil {
+		return nil, err
 	}
-	return h, nil
+	return &spillHeader{numFeatures: numFeatures, domains: domains}, nil
 }
 
 // sameStudy reports whether two spill headers describe the identical study:

@@ -90,8 +90,8 @@ func TestSpillRoundTrip(t *testing.T) {
 }
 
 // TestSpillFailureUnmeasures pins the failed-site semantics: a site with
-// observations and a later failed visit is unmeasurable, like the
-// sequential crawler's bookkeeping.
+// observations and a later failed visit is unmeasurable, as in the
+// survey engine's log.
 func TestSpillFailureUnmeasures(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, 10, []string{"x.example"})

@@ -311,6 +311,22 @@ func (r *binReader) str(max int, what string) (string, error) {
 	return string(b), err
 }
 
+// domains reads a header's list of n domain names. The list grows as names
+// arrive instead of being sized from n up front, so a header that claims
+// more domains than its bytes hold fails having allocated only for the
+// names it carries.
+func (r *binReader) domains(n int) ([]string, error) {
+	var out []string
+	for len(out) < n {
+		d, err := r.str(4096, "domain name")
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+	}
+	return out[:len(out):len(out)], nil
+}
+
 // bitset reads an n-bit run-encoded bitset written by binWriter.bitset.
 func (r *binReader) bitset(n int) (measure.Bitset, error) {
 	b := measure.NewBitset(n)

@@ -8,9 +8,9 @@
 // Case names the four browser configurations of the survey (§4.1): the
 // unmodified default, the combined AdBlock Plus + Ghostery "blocking"
 // profile, and the two single-blocker profiles behind Figure 7. Log stores
-// one feature Bitset per (case, round, site) cell; both execution engines —
-// the sequential loop in internal/crawler and the sharded engine in
-// internal/pipeline — produce this same structure.
+// one feature Bitset per (case, round, site) cell; the survey engine in
+// internal/pipeline produces it, and Record lets a hand-written loop over
+// crawler.Visitor (the test oracle) build the same structure.
 //
 // This package is purely the in-memory model. Persistence — the CSV and
 // binary on-disk formats, streaming spill files, and the visit-level result

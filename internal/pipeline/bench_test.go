@@ -20,41 +20,12 @@ func benchCrawlConfig() crawler.Config {
 	return cfg
 }
 
-// BenchmarkSequentialCrawl is the baseline: the crawler's own loop with one
-// worker, the execution the paper's single-machine survey models.
-//
-// Alloc note (90 sites × 4 cases × 2 rounds = 720 visits, linux/amd64):
-// interning the per-visit scratch — the feature-count, visited-URL, and
-// seen-dirs maps plus the gremlin horde, reused per Visitor instead of
-// rebuilt per visit — cut this benchmark from 23,779,309 to 23,765,726
-// allocs/op (13.6k fewer, ~19 per visit) and ~3.1 MB/op. The honest
-// conclusion at the time: ~99.9% of allocations were page/DOM construction
-// inside the browser. The browser's revisit fast path (DOM template cache +
-// arena clones, pooled pages/runtimes with preserved instrumentation,
-// precompiled selectors) then took that on and cut the benchmark from
-// 23,765,722 to 3,526,542 allocs/op (−85%), 1,019.7 MB to 318.6 MB/op
-// (−69%), and 3.00 s to 1.27 s/op (2.4×); BenchmarkLoadRepeatVisit in
-// internal/browser isolates the per-load delta (2,157 → 11 allocs/op).
-// Current numbers are tracked in BENCH_baseline.json at the repo root.
-func BenchmarkSequentialCrawl(b *testing.B) {
-	setup(b)
-	cfg := benchCrawlConfig()
-	cfg.Parallelism = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := crawler.New(testWeb, testBind, cfg)
-		if _, _, err := c.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(testSites)*float64(b.N)/b.Elapsed().Seconds(), "sites/s")
-}
-
-// BenchmarkPipeline sweeps worker counts at fixed methodology. The
-// acceptance target is the 8-worker geometry (2 shards × 4 workers) beating
-// BenchmarkSequentialCrawl by ≥2× on multi-core hardware; on a single-core
-// host the sweep instead shows the pipeline's overhead staying in the noise.
+// BenchmarkPipeline sweeps worker counts at fixed methodology. 1x1 is the
+// single-worker survey (90 sites × 4 cases × 2 rounds = 720 visits) whose
+// numbers BENCH_baseline.json tracks; on multi-core hardware the 8-worker
+// geometry (2 shards × 4 workers) should beat it by ≥2×, and on a
+// single-core host the sweep instead shows the engine's overhead staying in
+// the noise.
 func BenchmarkPipeline(b *testing.B) {
 	setup(b)
 	geometries := []struct {

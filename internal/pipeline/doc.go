@@ -31,11 +31,14 @@
 // Determinism is the engine's contract: because visit randomness depends
 // only on (seed, site, case, round) and every aggregate cell is written by
 // at most one visit — all cross-visit state being commutative bit-set
-// unions and integer sums — the final measure.Log is byte-identical to the
-// sequential crawler.Run loop for the same seed, at every shard/worker
-// geometry, and a spill-only run renders byte-identical reports.
-// TestPipelineMatchesSequential and TestSpillOnlyMatchesInMemory enforce
-// this.
+// unions and integer sums — the final measure.Log is byte-identical at
+// every shard/worker geometry, and a spill-only run renders byte-identical
+// reports. The oracle is a single-threaded site → case → round loop over
+// crawler.Visitor in the repository's root tests (TestOracleMatchesGolden),
+// checked against the committed golden CSV digests; this package's tests
+// take a 1 shard × 1 worker run as their baseline, and
+// TestPipelineMatchesSequential and TestSpillOnlyMatchesInMemory hold every
+// other geometry and mode to it.
 //
 // Two Config fields exist for the distributed protocol (internal/dist):
 // Sites restricts a run to a subset of site indices (a worker's lease) while

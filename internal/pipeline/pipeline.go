@@ -36,12 +36,6 @@ type Config struct {
 	// stalled stage exert back-pressure instead of buffering the whole
 	// web. Default 2×WorkersPerShard.
 	QueueDepth int
-	// Mergers is retained for configuration compatibility and ignored:
-	// the dedicated merge stage is gone. Workers apply their own batches
-	// to the lock-striped stats aggregate, which both preserves per-site
-	// event ordering (a site's visits and its end-of-site fold come from
-	// one worker) and removes a channel hop.
-	Mergers int
 	// Stripes is the lock-stripe count of the aggregate. Default 16.
 	Stripes int
 	// Cache, when non-nil, memoizes visit outcomes on disk keyed by the
@@ -87,8 +81,7 @@ type Config struct {
 	// reconstructs the run. Production runs leave it nil.
 	SpillTap func(shard int, w io.Writer) io.Writer
 	// Crawl carries the survey methodology (rounds, branch factor, page
-	// budget, cases, seed). Its Parallelism field is ignored; the
-	// pipeline's Shards × WorkersPerShard replaces it.
+	// budget, cases, seed) and the crawler's reference-path switches.
 	Crawl crawler.Config
 }
 
@@ -125,9 +118,9 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// Engine is the sharded crawl→measure→aggregate pipeline. It reproduces the
-// sequential crawler.Run survey bit-for-bit (same seed, same log) while
-// spreading the visits over Shards×WorkersPerShard browser workers.
+// Engine is the sharded crawl→measure→aggregate pipeline, the one survey
+// engine. It spreads the visits over Shards×WorkersPerShard browser workers,
+// and every geometry produces the same log for the same seed.
 type Engine struct {
 	Web      *synthweb.Web
 	Bindings *webapi.Bindings
@@ -154,9 +147,8 @@ type Result struct {
 	Stats *crawler.Stats
 }
 
-// SurveyStats summarizes a completed aggregate in the sequential crawler's
-// Stats shape (Table 1 of the paper). pageSeconds is the per-page
-// interaction budget.
+// SurveyStats summarizes a completed aggregate in the crawler's Stats shape
+// (Table 1 of the paper). pageSeconds is the per-page interaction budget.
 func SurveyStats(a stats.Source, pageSeconds float64) *crawler.Stats {
 	inv, pages := a.Totals()
 	measured := a.MeasuredCount()
@@ -172,7 +164,7 @@ func SurveyStats(a stats.Source, pageSeconds float64) *crawler.Stats {
 // Run executes the survey. The context cancels gracefully: in-flight visits
 // finish, queued sites are dropped, and Run returns ctx.Err() without
 // leaking goroutines. On success the returned log (when not spill-only) is
-// identical to the sequential crawler's for the same crawl config and seed.
+// the same for every geometry, given the same crawl config and seed.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	cfg := e.Cfg.normalized()
 	if cfg.Crawl.Rounds <= 0 || cfg.Crawl.Branch <= 0 {
@@ -382,9 +374,9 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 }
 
 // crawlWorker drains one shard queue. For each site it runs every
-// configured case for every round, exactly as the sequential loop does: a
-// failed visit marks the site unmeasurable and skips the case's remaining
-// rounds, but other cases still run. Completed visits accumulate into a
+// configured case for every round: a failed visit marks the site
+// unmeasurable and skips the case's remaining rounds, but other cases still
+// run. Completed visits accumulate into a
 // batch that is folded into the shard's aggregate — and, when the shard
 // spills, flushed to its spill writer — every BatchSize observations. When
 // a site's last case finishes, a site-end event rides the same batch, so

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,8 +18,10 @@ import (
 	"repro/internal/webidl"
 )
 
-// Shared small study: 90 sites, full methodology, fixed seed. The sequential
-// baseline is computed once and every pipeline variant is compared to it.
+// Shared small study: 90 sites, full methodology, fixed seed. The baseline is
+// a 1 shard × 1 worker run, computed once; every other geometry and mode is
+// compared to it. The repository's root TestOracleMatchesGolden holds the
+// engine to a single-threaded visit loop and the committed golden digests.
 var (
 	setupOnce sync.Once
 	setupErr  error
@@ -47,24 +51,32 @@ func setup(t testing.TB) {
 			return
 		}
 		testBind = webapi.NewBindings(reg)
-		seq := crawler.New(testWeb, testBind, sequentialConfig())
-		baseLog, baseStats, err = seq.Run()
+		base, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, Crawl: testCrawlConfig()}).Run(context.Background())
 		if err != nil {
 			setupErr = err
 			return
 		}
+		baseLog, baseStats = base.Log, base.Stats
 	})
 	if setupErr != nil {
 		t.Fatal(setupErr)
 	}
 }
 
-// sequentialConfig is the paper methodology with one worker: the reference
-// execution order.
-func sequentialConfig() crawler.Config {
-	cfg := crawler.DefaultConfig(testSeed)
-	cfg.Parallelism = 1
-	return cfg
+// testCrawlConfig is the paper methodology at the test seed.
+func testCrawlConfig() crawler.Config {
+	return crawler.DefaultConfig(testSeed)
+}
+
+// runOneByOne runs a survey on one shard with one worker, the baseline's
+// geometry.
+func runOneByOne(t *testing.T, cfg crawler.Config) *Result {
+	t.Helper()
+	res, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, Crawl: cfg}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func csvBytes(t testing.TB, l *measure.Log) []byte {
@@ -76,9 +88,9 @@ func csvBytes(t testing.TB, l *measure.Log) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineMatchesSequential is the determinism guarantee: the sharded
-// engine's aggregate, serialized, is byte-identical to the sequential
-// crawler's log for the same seed, across several shard/worker geometries.
+// TestPipelineMatchesSequential is the determinism guarantee: the engine's
+// log, serialized, is byte-identical to the one-worker baseline's for the
+// same seed, across several shard/worker/batch/stripe geometries.
 func TestPipelineMatchesSequential(t *testing.T) {
 	setup(t)
 	want := csvBytes(t, baseLog)
@@ -102,14 +114,14 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				WorkersPerShard: g.workers,
 				BatchSize:       g.batch,
 				Stripes:         g.stripes,
-				Crawl:           sequentialConfig(),
+				Crawl:           testCrawlConfig(),
 			})
 			res, err := eng.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
-				t.Errorf("pipeline log differs from sequential baseline (%d vs %d bytes)", len(got), len(want))
+				t.Errorf("pipeline log differs from the 1x1 baseline (%d vs %d bytes)", len(got), len(want))
 			}
 			if *res.Stats != *baseStats {
 				t.Errorf("pipeline stats = %+v, want %+v", *res.Stats, *baseStats)
@@ -126,24 +138,21 @@ func TestPipelineMatchesSequential(t *testing.T) {
 // engine mode is pinned to the slow path too.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	setup(t)
-	cfg := sequentialConfig()
+	cfg := testCrawlConfig()
 	cfg.DisableBrowserReuse = true
-	slowLog, slowStats, err := crawler.New(testWeb, testBind, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := csvBytes(t, slowLog), csvBytes(t, baseLog); !bytes.Equal(got, want) {
+	slow := runOneByOne(t, cfg)
+	if got, want := csvBytes(t, slow.Log), csvBytes(t, baseLog); !bytes.Equal(got, want) {
 		t.Errorf("slow-path log differs from fast-path baseline (%d vs %d bytes)", len(got), len(want))
 	}
-	if *slowStats != *baseStats {
-		t.Errorf("slow-path stats = %+v, want %+v", *slowStats, *baseStats)
+	if *slow.Stats != *baseStats {
+		t.Errorf("slow-path stats = %+v, want %+v", *slow.Stats, *baseStats)
 	}
 }
 
 // TestExecutionAblationsMatchBaseline pins the two execution-engine
 // rewrites — compiled WebScript dispatch and the tokenized ABP matcher
 // index — to the interpreted/linear reference: disabling either (or both)
-// must reproduce the byte-identical log and stats, sequentially and under a
+// must reproduce the byte-identical log and stats, on one worker and under a
 // sharded geometry. Together with TestFastPathMatchesSlowPath this keeps
 // every perf path a pure rearrangement of the same computation.
 func TestExecutionAblationsMatchBaseline(t *testing.T) {
@@ -159,23 +168,20 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
-			cfg := sequentialConfig()
+			cfg := testCrawlConfig()
 			cfg.DisableScriptCompile = m.noCompile
 			cfg.DisableMatcherIndex = m.noIndex
-			log, stats, err := crawler.New(testWeb, testBind, cfg).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := csvBytes(t, log); !bytes.Equal(got, want) {
+			res := runOneByOne(t, cfg)
+			if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
 				t.Errorf("ablated log differs from baseline (%d vs %d bytes)", len(got), len(want))
 			}
-			if *stats != *baseStats {
-				t.Errorf("ablated stats = %+v, want %+v", *stats, *baseStats)
+			if *res.Stats != *baseStats {
+				t.Errorf("ablated stats = %+v, want %+v", *res.Stats, *baseStats)
 			}
 		})
 	}
 	t.Run("both-disabled-sharded", func(t *testing.T) {
-		cfg := sequentialConfig()
+		cfg := testCrawlConfig()
 		cfg.DisableScriptCompile = true
 		cfg.DisableMatcherIndex = true
 		eng := New(testWeb, testBind, Config{
@@ -198,6 +204,52 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 	})
 }
 
+// TestBlockerParseErrorFailsSurvey pins what a malformed filter list or
+// tracker library does to a survey. Every worker then fails to build its
+// blocking visitor, and Run must return the parse error promptly rather
+// than wait on a feeder nobody drains. A default-only survey never parses
+// either text, so it must still succeed on the same web.
+func TestBlockerParseErrorFailsSurvey(t *testing.T) {
+	setup(t)
+	// A regenerated twin of the test web: Web holds a mutex, so it is not
+	// copied.
+	web, err := synthweb.Generate(testWeb.Registry, testWeb.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct{ name, filters, trackers, want string }{
+		{"filter-list", "##\n", testWeb.TrackerLibText, "parsing filter list"},
+		{"tracker-library", testWeb.FilterListText, "not|a tracker line\n", "parsing tracker library"},
+	} {
+		web.FilterListText, web.TrackerLibText = bad.filters, bad.trackers
+		// The blocking survey offers every site, more than the shard queues
+		// hold, so a feeder left undrained would block; the default-only
+		// one crawls a few.
+		survey := func(shards, workers int, sites []int, cases ...measure.Case) (*Result, error) {
+			cfg := testCrawlConfig()
+			cfg.Cases = cases
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			return New(web, testBind, Config{Shards: shards, WorkersPerShard: workers, Sites: sites, Crawl: cfg}).Run(ctx)
+		}
+		for _, g := range []struct{ shards, workers int }{{1, 1}, {2, 2}} {
+			t.Run(fmt.Sprintf("%s-%dx%d", bad.name, g.shards, g.workers), func(t *testing.T) {
+				_, err := survey(g.shards, g.workers, nil, measure.CaseDefault, measure.CaseBlocking)
+				if err == nil || !strings.Contains(err.Error(), bad.want) {
+					t.Fatalf("blocking survey returned %v, want a %q error", err, bad.want)
+				}
+				res, err := survey(g.shards, g.workers, []int{0, 1, 2, 3}, measure.CaseDefault)
+				if err != nil {
+					t.Fatalf("default-only survey failed on the same web: %v", err)
+				}
+				if res.Stats.PagesVisited == 0 {
+					t.Fatal("default-only survey visited no pages")
+				}
+			})
+		}
+	}
+}
+
 // TestPipelineConcurrent exercises the multi-shard engine under the race
 // detector: many shards, many workers, tiny batches, few stripes — the
 // maximum-contention geometry.
@@ -208,7 +260,7 @@ func TestPipelineConcurrent(t *testing.T) {
 		WorkersPerShard: 3,
 		BatchSize:       1,
 		Stripes:         2,
-		Crawl:           sequentialConfig(),
+		Crawl:           testCrawlConfig(),
 	}
 	eng := New(testWeb, testBind, cfg)
 	res, err := eng.Run(context.Background())
@@ -219,7 +271,7 @@ func TestPipelineConcurrent(t *testing.T) {
 		t.Errorf("measured = %d, want %d", res.Stats.DomainsMeasured, baseStats.DomainsMeasured)
 	}
 	if !bytes.Equal(csvBytes(t, res.Log), csvBytes(t, baseLog)) {
-		t.Error("concurrent pipeline log differs from sequential baseline")
+		t.Error("concurrent pipeline log differs from the 1x1 baseline")
 	}
 }
 
@@ -232,7 +284,7 @@ func TestPipelineCancellation(t *testing.T) {
 	eng := New(testWeb, testBind, Config{
 		Shards:          2,
 		WorkersPerShard: 2,
-		Crawl:           sequentialConfig(),
+		Crawl:           testCrawlConfig(),
 	})
 	done := make(chan error, 1)
 	go func() {
@@ -252,8 +304,8 @@ func TestPipelineCancellation(t *testing.T) {
 
 // TestPipelineSpill runs the engine with a spill directory and requires the
 // reassembled spill files to be byte-identical to both the engine's own log
-// and the sequential baseline: the spilled partial aggregates carry the
-// entire survey.
+// and the 1x1 baseline: the spilled partial aggregates carry the entire
+// survey.
 func TestPipelineSpill(t *testing.T) {
 	setup(t)
 	dir := t.TempDir()
@@ -261,7 +313,7 @@ func TestPipelineSpill(t *testing.T) {
 		Shards:          3,
 		WorkersPerShard: 2,
 		SpillDir:        dir,
-		Crawl:           sequentialConfig(),
+		Crawl:           testCrawlConfig(),
 	})
 	res, err := eng.Run(context.Background())
 	if err != nil {
@@ -279,7 +331,7 @@ func TestPipelineSpill(t *testing.T) {
 		t.Error("merged spill differs from the engine's log")
 	}
 	if !bytes.Equal(csvBytes(t, merged), csvBytes(t, baseLog)) {
-		t.Error("merged spill differs from the sequential baseline")
+		t.Error("merged spill differs from the 1x1 baseline")
 	}
 }
 
@@ -311,16 +363,16 @@ func TestPipelineCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := runWith(cache, sequentialConfig())
+	cold := runWith(cache, testCrawlConfig())
 	coldStats := cache.Stats()
 	if coldStats.Hits != 0 || coldStats.Puts == 0 {
 		t.Fatalf("cold run should only populate: %+v", coldStats)
 	}
 	if !bytes.Equal(csvBytes(t, cold.Log), csvBytes(t, baseLog)) {
-		t.Error("cold cached run differs from the sequential baseline")
+		t.Error("cold cached run differs from the 1x1 baseline")
 	}
 
-	warm := runWith(cache, sequentialConfig())
+	warm := runWith(cache, testCrawlConfig())
 	warmStats := cache.Stats()
 	if hits := warmStats.Hits - coldStats.Hits; hits != coldStats.Puts {
 		t.Errorf("warm run hit %d of %d cached visits", hits, coldStats.Puts)
@@ -334,7 +386,7 @@ func TestPipelineCache(t *testing.T) {
 
 	// Overlapping (superset) config: one extra round. Every visit of the
 	// original rounds must come from the cache.
-	wider := sequentialConfig()
+	wider := testCrawlConfig()
 	wider.Rounds++
 	res := runWith(cache, wider)
 	widerStats := cache.Stats()
@@ -346,7 +398,8 @@ func TestPipelineCache(t *testing.T) {
 	}
 }
 
-// TestPipelineRejectsInvalidConfig mirrors the crawler's validation.
+// TestPipelineRejectsInvalidConfig rejects a crawl config with no rounds or
+// branch factor.
 func TestPipelineRejectsInvalidConfig(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{})

@@ -78,7 +78,7 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 				BatchSize:       g.batch,
 				SpillDir:        dir,
 				SpillOnly:       true,
-				Crawl:           sequentialConfig(),
+				Crawl:           testCrawlConfig(),
 			})
 			res, err := eng.Run(context.Background())
 			if err != nil {
@@ -100,11 +100,11 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 			if err != nil || len(paths) != g.shards {
 				t.Fatalf("expected %d spill files, got %v (%v)", g.shards, paths, err)
 			}
-			merged, err := stats.FromSpills(stats.StandardsOf(testWeb.Registry), sequentialConfig().Cases, paths...)
+			merged, err := stats.FromSpills(stats.StandardsOf(testWeb.Registry), testCrawlConfig().Cases, paths...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spillStats := SurveyStats(merged, sequentialConfig().PageSeconds)
+			spillStats := SurveyStats(merged, testCrawlConfig().PageSeconds)
 			if *spillStats != *baseStats {
 				t.Errorf("spill-merged stats = %+v, want %+v", *spillStats, *baseStats)
 			}
@@ -119,7 +119,7 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(csvBytes(t, logFromSpills), csvBytes(t, baseLog)) {
-				t.Error("reassembled spill log differs from the sequential baseline")
+				t.Error("reassembled spill log differs from the 1x1 baseline")
 			}
 		})
 	}
@@ -136,7 +136,7 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 		BatchSize:       1,
 		Stripes:         2,
 		SpillOnly:       true,
-		Crawl:           sequentialConfig(),
+		Crawl:           testCrawlConfig(),
 	})
 	res, err := eng.Run(context.Background())
 	if err != nil {
@@ -162,7 +162,7 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 	eng := New(testWeb, testBind, Config{
 		Shards:          2,
 		WorkersPerShard: 2,
-		Crawl:           sequentialConfig(),
+		Crawl:           testCrawlConfig(),
 	})
 	res, err := eng.Run(context.Background())
 	if err != nil {

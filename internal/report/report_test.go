@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cve"
 	"repro/internal/firefoxhist"
 	"repro/internal/measure"
+	"repro/internal/pipeline"
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
 	"repro/internal/webidl"
@@ -35,14 +37,13 @@ func surveyed(t testing.TB) (*analysis.Analysis, *synthweb.Web, *crawler.Stats) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := crawler.New(web, webapi.NewBindings(reg), crawler.DefaultConfig(5))
-	log, stats, err := c.Run()
+	res, err := pipeline.New(web, webapi.NewBindings(reg), pipeline.Config{Crawl: crawler.DefaultConfig(5)}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedAna = analysis.New(log, reg)
+	sharedAna = analysis.New(res.Log, reg)
 	sharedWeb = web
-	sharedStat = stats
+	sharedStat = res.Stats
 	sharedHist = firefoxhist.New(reg)
 	return sharedAna, sharedWeb, sharedStat
 }

@@ -7,9 +7,9 @@
 // The Aggregate is what makes two execution modes share one analysis path:
 //
 //   - Keep-log mode (Config.KeepLog) additionally retains every visit's
-//     feature set, so Log() can freeze the exact measure.Log the sequential
-//     crawler would have produced. Analysis reads its aggregate numbers
-//     from the Aggregate and only its per-site queries from the Log.
+//     feature set, so Log() can freeze the exact measure.Log that recording
+//     every visit in order would have built. Analysis reads its aggregate
+//     numbers from the Aggregate and only its per-site queries from the Log.
 //
 //   - Spill-only mode drops the per-visit grid entirely: memory stays
 //     bounded regardless of site count because a site's state lives only in

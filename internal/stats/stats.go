@@ -121,8 +121,8 @@ type openSite struct {
 // a survey. Producers feed it visits from many goroutines (calls for one
 // site must be ordered; see the package comment); afterwards its query
 // methods answer every aggregate question internal/analysis asks, and — in
-// keep-log mode — Log() freezes the exact measure.Log the sequential
-// crawler would have produced, because every grid cell is written by at
+// keep-log mode — Log() freezes the exact measure.Log that recording every
+// visit in order would have built, because every grid cell is written by at
 // most one visit and all cross-visit state is commutative.
 type Aggregate struct {
 	cfg     Config
@@ -163,7 +163,7 @@ type Aggregate struct {
 
 	// Keep-log state: features[caseIdx][round][site] is the visit's
 	// feature set (guarded by the site's stripe lock); recorded/failed
-	// reproduce the sequential crawler's Measured bookkeeping.
+	// give a site's Measured flag: observed at least once, never failed.
 	features [][][]measure.Bitset
 	recorded []bool
 	failed   []bool
@@ -715,9 +715,10 @@ func (a *Aggregate) Totals() (invocations, pages int64) {
 }
 
 // Log freezes a keep-log aggregate into a measure.Log identical to the one
-// the sequential crawler produces for the same seed: per-case round counts
-// grow only as far as data was recorded, and a site is Measured exactly
-// when it produced at least one observation and never failed a visit. It
+// the single-threaded oracle loop (the repository's TestOracleMatchesGolden)
+// records for the same seed: per-case round counts grow only as far as data
+// was recorded, and a site is Measured exactly when it produced at least
+// one observation and never failed a visit. It
 // returns nil for spill-only aggregates, which never held the grid.
 //
 // Log must only be called after all producers have finished.
