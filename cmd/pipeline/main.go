@@ -26,10 +26,11 @@
 // and -format picks the -out encoding (csv or binary; readers auto-detect).
 //
 // -spill-only drops the in-memory log entirely: each shard folds its
-// visits into a mergeable statistics aggregate, so memory stays bounded
-// regardless of site count while every printed table is byte-identical to
-// the in-memory run's. Combine with -spill to keep the full log on disk
-// (report -spills replays it); -out is unavailable in this mode.
+// visits into a mergeable statistics aggregate, so memory grows by a few
+// words per site instead of with every visit, while every printed table is
+// byte-identical to the in-memory run's. Combine with -spill to keep the
+// full log on disk (report -spills replays it); -out is unavailable in this
+// mode.
 //
 // # Distributed surveys
 //

@@ -6,13 +6,10 @@
 // auto-detected from its magic bytes; pointing -log at anything else
 // reports "unknown log format" with the bytes found.
 //
-// -spills takes a glob of per-shard spill files from a spill-only run and
-// merges them through the streaming stats layer: the full log is never
-// materialized, so memory stays bounded regardless of survey size, and
-// every aggregate artifact matches the live run byte for byte. The two
-// per-site artifacts (figure5, figure9) need the full log; render them from
-// -log (a single spill file works there too, via the auto-detecting
-// reader).
+// -spills takes a glob of per-shard spill files and merges them through the
+// streaming stats layer: the full log is never materialized, so memory
+// grows by a few words per site, not per visit, and every artifact matches
+// report -log over the same survey byte for byte.
 //
 // Usage:
 //
@@ -30,9 +27,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/crawler"
 	"repro/internal/logstore"
-	"repro/internal/measure"
 	"repro/internal/report"
 )
 
@@ -43,7 +38,7 @@ func main() {
 		shards     = flag.Int("shards", 4, "site partitions when re-running the survey (0 = one)")
 		workers    = flag.Int("workers", 2, "browser workers per shard when re-running the survey")
 		logPath    = flag.String("log", "", "read measurements from this log file (format auto-detected) instead of crawling")
-		spillsGlob = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory; per-site artifacts unavailable)")
+		spillsGlob = flag.String("spills", "", "merge spill files matching this glob through the streaming stats layer instead of crawling (bounded memory)")
 		cacheDir   = flag.String("cache", "", "visit cache directory for survey re-runs")
 		cacheLimit = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
 		only       = flag.String("only", "", "render one artifact: figure1|figure3|figure4|figure5|figure6|figure7|figure8|figure9|table1|table2|table3|headlines")
@@ -74,11 +69,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		results = &core.Results{
-			Log:      log,
-			Stats:    statsFromLog(log),
-			Analysis: analysis.New(log, study.Registry),
-		}
+		results = study.AggregateResults(analysis.New(log, study.Registry).Agg)
 	case *spillsGlob != "":
 		paths, err := core.SpillGlob(*spillsGlob)
 		if err != nil {
@@ -101,21 +92,10 @@ func main() {
 	}
 
 	if *only == "" {
-		if results.Log == nil {
-			fmt.Fprintln(os.Stderr, "per-site artifacts (figure5, figure9) need the full log; rendering the aggregate report")
-			if err := study.WriteAggregateReport(os.Stdout, results); err != nil {
-				fatal(err)
-			}
-			return
-		}
 		if err := study.WriteReport(os.Stdout, results); err != nil {
 			fatal(err)
 		}
 		return
-	}
-
-	if results.Log == nil && (*only == "figure5" || *only == "figure9") {
-		fatal(fmt.Errorf("report: %s is a per-site artifact; it needs -log (or a re-run), not -spills", *only))
 	}
 
 	a := results.Analysis
@@ -151,18 +131,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown artifact %q", *only))
 	}
-}
-
-// statsFromLog reconstructs Table 1 summary data from a saved log.
-func statsFromLog(log *measure.Log) *crawler.Stats {
-	s := &crawler.Stats{DomainsMeasured: log.MeasuredCount()}
-	s.DomainsFailed = len(log.Domains) - s.DomainsMeasured
-	for _, cl := range log.Cases {
-		s.PagesVisited += cl.PagesVisited
-		s.Invocations += cl.Invocations
-	}
-	s.InteractionSeconds = float64(s.PagesVisited) * 30
-	return s
 }
 
 func fatal(err error) {

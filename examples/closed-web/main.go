@@ -49,21 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		out := map[standards.Abbrev]int{}
-		for site := range web.Sites {
-			u := res.Log.SiteUnion(measure.CaseDefault, site)
-			if u == nil {
-				continue
-			}
-			seen := map[standards.Abbrev]bool{}
-			for _, f := range reg.Features {
-				if u.Get(f.ID) && !seen[f.Standard] {
-					seen[f.Standard] = true
-					out[f.Standard]++
-				}
-			}
-		}
-		return out
+		return res.Agg.StandardSites(measure.CaseDefault)
 	}
 
 	fmt.Println("crawling anonymously (the paper's open-web scope)...")

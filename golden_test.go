@@ -42,11 +42,10 @@ var goldenPoints = []struct {
 }
 
 // TestGolden anchors the survey's outputs to committed SHA-256 digests: the
-// CSV and binary encodings of the log, the full report rendered by a
-// log-built analysis over the CSV-decoded log (what report -log prints),
-// the aggregate report rendered from the run's spill files (what report
-// -spills prints), and those spill files re-written as one canonical
-// stream. Every engine, codec and analysis path is checked against this
+// CSV and binary encodings of the log, the report rendered from the fold of
+// the CSV-decoded log (what report -log prints), the report rendered from
+// the run's spill files (what report -spills prints, byte-identical to the
+// former), and those spill files re-written as one canonical stream. Every engine, codec and analysis path is checked against this
 // fixed record rather than against another path of the same code.
 func TestGolden(t *testing.T) {
 	for _, p := range goldenPoints {
@@ -81,12 +80,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var full bytes.Buffer
-			err = study.WriteReport(&full, &core.Results{
-				Log:      decoded,
-				Stats:    logStats(decoded),
-				Analysis: analysis.New(decoded, study.Registry),
-			})
-			if err != nil {
+			if err := study.WriteReport(&full, study.AggregateResults(analysis.New(decoded, study.Registry).Agg)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -99,7 +93,7 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			var agg bytes.Buffer
-			if err := study.WriteAggregateReport(&agg, fromSpills); err != nil {
+			if err := study.WriteReport(&agg, fromSpills); err != nil {
 				t.Fatal(err)
 			}
 
@@ -239,19 +233,6 @@ func canonicalSpill(paths []string) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// logStats is Table 1's summary of a saved log, derived the way report
-// -log derives it.
-func logStats(l *measure.Log) *crawler.Stats {
-	s := &crawler.Stats{DomainsMeasured: l.MeasuredCount()}
-	s.DomainsFailed = len(l.Domains) - s.DomainsMeasured
-	for _, cl := range l.Cases {
-		s.PagesVisited += cl.PagesVisited
-		s.Invocations += cl.Invocations
-	}
-	s.InteractionSeconds = float64(s.PagesVisited) * 30
-	return s
 }
 
 // goldenEntry is one anchored artifact: its digest line plus a short

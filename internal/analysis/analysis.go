@@ -2,9 +2,9 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/alexa"
 	"repro/internal/cve"
@@ -16,36 +16,29 @@ import (
 )
 
 // Analysis joins a survey's measurements with the corpus it measured. Every
-// aggregate statistic — feature and standard popularity, block rates,
-// complexity, new standards per round — is read from one stats.Source:
-// the mergeable aggregate a pipeline maintained while the survey ran, one
-// folded from spill files or from a saved log, or an immutable snapshot of
-// one (the query server's epoch read path). The full per-visit Log, when
-// present, is read only by the per-site queries (SiteStandards,
-// VisitWeightedPopularity, HumanDelta); without it they return nil.
+// statistic — feature and standard popularity, block rates, complexity,
+// new standards per round, and the per-site default-case standard sets
+// behind Figures 5 and 9 — is read from one stats.Source: the mergeable
+// aggregate a pipeline maintained while the survey ran, one folded from
+// spill files or from a saved log, or an immutable snapshot of one (the
+// query server's epoch read path).
 //
 // An Analysis is safe for concurrent use when its Source is, as both
 // *stats.Aggregate and *stats.Snapshot are.
 type Analysis struct {
-	// Log is the full measurement log; nil when the survey kept none.
-	Log *measure.Log
 	Reg *webidl.Registry
-	// Agg answers every aggregate query.
+	// Agg answers every query.
 	Agg stats.Source
 
 	// stdOf[featureID] is the feature's standard, memoized.
 	stdOf []standards.Abbrev
-	// siteStdMu guards siteStdCache, the per-case, per-site standard sets
-	// the per-site queries share.
-	siteStdMu    sync.Mutex
-	siteStdCache map[measure.Case][]map[standards.Abbrev]bool
 }
 
 // New builds an analysis of a log: it folds the log into an aggregate
-// (stats.FromLog) that answers every aggregate query, and keeps the log for
-// the per-site ones. It accepts any log with at least one feature, as every
-// decoded log has, including one with cases outside measure.AllCases or
-// fewer features than reg.
+// (stats.FromLog) and analyzes that, exactly as FromStats would. It
+// accepts any log with at least one feature, as every decoded log has,
+// including one with cases outside measure.AllCases or fewer features than
+// reg.
 func New(log *measure.Log, reg *webidl.Registry) *Analysis {
 	agg, err := stats.FromLog(log, logStandards(log, reg), logCases(log))
 	if err != nil {
@@ -53,32 +46,13 @@ func New(log *measure.Log, reg *webidl.Registry) *Analysis {
 		// a featureless log, which no codec decodes, gets here.
 		panic(fmt.Sprintf("analysis: folding the log: %v", err))
 	}
-	return newAnalysis(log, agg, reg)
+	return FromStats(agg, reg)
 }
 
-// FromStats builds an analysis directly from a statistics source — a live
-// mergeable aggregate or an immutable snapshot — with no log; per-site
-// methods return nil (reassemble the log from spill files when they are
-// needed).
+// FromStats builds an analysis from a statistics source — a live mergeable
+// aggregate or an immutable snapshot.
 func FromStats(src stats.Source, reg *webidl.Registry) *Analysis {
-	return newAnalysis(nil, src, reg)
-}
-
-// NewWarm builds an analysis with both sources: aggregate statistics come
-// from src, per-site queries from the log. src must describe the same
-// survey as the log (a keep-log pipeline run returns both).
-func NewWarm(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
-	return newAnalysis(log, src, reg)
-}
-
-func newAnalysis(log *measure.Log, src stats.Source, reg *webidl.Registry) *Analysis {
-	return &Analysis{
-		Log:          log,
-		Agg:          src,
-		Reg:          reg,
-		stdOf:        stats.StandardsOf(reg),
-		siteStdCache: make(map[measure.Case][]map[standards.Abbrev]bool),
-	}
+	return &Analysis{Agg: src, Reg: reg, stdOf: stats.StandardsOf(reg)}
 }
 
 // logStandards maps each of the log's features to its standard. Features
@@ -105,30 +79,26 @@ func logCases(log *measure.Log) []measure.Case {
 }
 
 // SiteStandards returns, per site, the set of standards with at least one
-// feature observed under the case (nil for unobserved sites). It is a
-// per-site query: without a log (FromStats) it returns nil.
+// feature observed under the default case (nil for a site the default case
+// never observed). The source keeps per-site sets for the default case
+// only, so any other case returns nil.
+//
+// Deprecated: Figures 5 and 9 read the source's per-site sets directly;
+// see VisitWeightedPopularity and HumanDelta.
 func (a *Analysis) SiteStandards(c measure.Case) []map[standards.Abbrev]bool {
-	if a.Log == nil {
+	if c != measure.CaseDefault {
 		return nil
 	}
-	a.siteStdMu.Lock()
-	defer a.siteStdMu.Unlock()
-	if cached, ok := a.siteStdCache[c]; ok {
-		return cached
-	}
-	out := make([]map[standards.Abbrev]bool, len(a.Log.Domains))
-	for site := range a.Log.Domains {
-		u := a.Log.SiteUnion(c, site)
-		if u == nil {
+	names := a.Agg.StandardNames()
+	out := make([]map[standards.Abbrev]bool, a.Agg.NumSites())
+	for site := range out {
+		set, ok := a.Agg.SiteStandards(site)
+		if !ok {
 			continue
 		}
-		set := make(map[standards.Abbrev]bool)
-		u.ForEach(a.Log.NumFeatures, func(id int) {
-			set[a.stdOf[id]] = true
-		})
-		out[site] = set
+		out[site] = make(map[standards.Abbrev]bool)
+		set.ForEach(len(names), func(i int) { out[site][names[i]] = true })
 	}
-	a.siteStdCache[c] = out
 	return out
 }
 
@@ -246,38 +216,45 @@ type VisitWeighted struct {
 	VisitFraction float64
 }
 
-// VisitWeightedPopularity computes Figure 5 against an Alexa ranking. It
-// is a per-site query: without a log (FromStats) it returns nil.
+// VisitWeightedPopularity computes Figure 5 against an Alexa ranking, over
+// the sites the default case observed. One pass over the sites tallies
+// sites and visits by the source's dense standard index, walking each
+// set's words inline: the query server runs it on every /report render.
 func (a *Analysis) VisitWeightedPopularity(rank *alexa.Ranking) []VisitWeighted {
-	if a.Log == nil {
-		return nil
-	}
-	siteStd := a.SiteStandards(measure.CaseDefault)
-	var totalVisits float64
-	measured := 0
-	for site := range a.Log.Domains {
-		if siteStd[site] == nil {
+	names := a.Agg.StandardNames()
+	sites := make([]float64, len(names))
+	visits := make([]float64, len(names))
+	var measured, totalVisits float64
+	for site := 0; site < a.Agg.NumSites(); site++ {
+		set, ok := a.Agg.SiteStandards(site)
+		if !ok {
 			continue
 		}
+		v := float64(rank.Sites[site].MonthlyVisits)
 		measured++
-		totalVisits += float64(rank.Sites[site].MonthlyVisits)
+		totalVisits += v
+		for w, word := range set {
+			for ; word != 0; word &= word - 1 {
+				i := w*64 + bits.TrailingZeros64(word)
+				sites[i]++
+				visits[i] += v
+			}
+		}
+	}
+	index := make(map[standards.Abbrev]int, len(names))
+	for i, std := range names {
+		index[std] = i
 	}
 	var out []VisitWeighted
 	for _, std := range standards.Catalog() {
 		vw := VisitWeighted{Standard: std.Abbrev}
-		var sites, visits float64
-		for site, set := range siteStd {
-			if set == nil || !set[std.Abbrev] {
-				continue
+		if i, ok := index[std.Abbrev]; ok {
+			if measured > 0 {
+				vw.SiteFraction = sites[i] / measured
 			}
-			sites++
-			visits += float64(rank.Sites[site].MonthlyVisits)
-		}
-		if measured > 0 {
-			vw.SiteFraction = sites / float64(measured)
-		}
-		if totalVisits > 0 {
-			vw.VisitFraction = visits / totalVisits
+			if totalVisits > 0 {
+				vw.VisitFraction = visits[i] / totalVisits
+			}
 		}
 		out = append(out, vw)
 	}
@@ -405,21 +382,17 @@ func (a *Analysis) NewStandardsPerRound() []float64 {
 }
 
 // HumanDelta compares one site's manually-observed standards against the
-// automated survey's union for the site (Figure 9's per-site statistic:
-// standards seen by the human but never by the monkey). It is a per-site
-// query: without a log every human-seen standard counts as new.
+// automated survey's default-case standards for the site (Figure 9's
+// per-site statistic: standards seen by the human but never by the monkey).
 func (a *Analysis) HumanDelta(site int, humanCounts map[int]int64) int {
-	var auto map[standards.Abbrev]bool
-	if ss := a.SiteStandards(measure.CaseDefault); site >= 0 && site < len(ss) {
-		auto = ss[site]
-	}
-	humanStd := make(map[standards.Abbrev]bool)
-	for id := range humanCounts {
-		humanStd[a.stdOf[id]] = true
-	}
+	names := a.Agg.StandardNames()
+	seen := make(map[standards.Abbrev]bool)
+	auto, _ := a.Agg.SiteStandards(site)
+	auto.ForEach(len(names), func(i int) { seen[names[i]] = true })
 	delta := 0
-	for std := range humanStd {
-		if auto == nil || !auto[std] {
+	for id := range humanCounts {
+		if std := a.stdOf[id]; !seen[std] {
+			seen[std] = true
 			delta++
 		}
 	}

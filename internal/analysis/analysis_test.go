@@ -20,6 +20,7 @@ import (
 // The analysis tests run one shared small survey.
 var (
 	sharedWeb  *synthweb.Web
+	sharedLog  *measure.Log
 	sharedAna  *Analysis
 	sharedHist *firefoxhist.History
 )
@@ -42,6 +43,7 @@ func surveyed(t testing.TB) (*synthweb.Web, *Analysis) {
 		t.Fatal(err)
 	}
 	sharedWeb = web
+	sharedLog = res.Log
 	sharedAna = New(res.Log, reg)
 	sharedHist = firefoxhist.New(reg)
 	return web, sharedAna
@@ -253,12 +255,12 @@ func TestHumanDelta(t *testing.T) {
 	web, a := surveyed(t)
 	// A human observing exactly what the monkey saw has delta zero.
 	for site := range web.Sites {
-		u := a.Log.SiteUnion(measure.CaseDefault, site)
+		u := sharedLog.SiteUnion(measure.CaseDefault, site)
 		if u == nil {
 			continue
 		}
 		counts := map[int]int64{}
-		for id := 0; id < a.Log.NumFeatures; id++ {
+		for id := 0; id < sharedLog.NumFeatures; id++ {
 			if u.Get(id) {
 				counts[id] = 1
 			}

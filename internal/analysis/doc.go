@@ -5,18 +5,17 @@
 // Figure 6), CVE association (Table 2), and the internal/external
 // validation statistics (§6).
 //
-// Every aggregate statistic is read from one stats.Source, whichever
-// constructor built the Analysis. FromStats(src, reg) takes a mergeable
-// stats.Aggregate that the pipeline maintained while the survey ran (or
-// that stats.FromSpills folded from spill files), or an epoch snapshot of
-// one; with no log, the per-site methods (SiteStandards,
-// VisitWeightedPopularity, HumanDelta) return nil. New(log, reg) folds a
-// measure.Log into an aggregate with stats.FromLog and keeps the log for
-// the per-site methods; NewWarm(log, src, reg) pairs a log with an
-// aggregate the caller already has. The per-site methods are the only code
-// that reads the log. Both folds are checked against a reference scan of
-// the log kept in a test file (TestWarmAnalysisMatchesCold), and an
-// Analysis is safe for concurrent use when its Source is.
+// Every statistic is read from one stats.Source, whichever constructor
+// built the Analysis. FromStats(src, reg) takes a mergeable stats.Aggregate
+// that the pipeline maintained while the survey ran (or that
+// stats.FromSpills folded from spill files), or an epoch snapshot of one.
+// New(log, reg) folds a measure.Log into an aggregate with stats.FromLog
+// and analyzes that the same way. The per-site queries behind Figure 5
+// (VisitWeightedPopularity) and Figure 9 (HumanDelta) read the source's
+// per-site default-case standard sets, so every source renders the whole
+// paper. Both folds are checked against a reference scan of the log kept in
+// a test file (TestWarmAnalysisMatchesCold), and an Analysis is safe for
+// concurrent use when its Source is.
 //
 // Analysis consumes only measured data — never the synthetic web's
 // calibration profile — so the same code analyzes logs from the

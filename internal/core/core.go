@@ -7,6 +7,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"sync"
 
 	"repro/internal/alexa"
 	"repro/internal/analysis"
@@ -66,9 +67,9 @@ type Config struct {
 	// into a warm aggregate.
 	SpillDir string
 	// SpillOnly drops the in-memory log: each shard folds its visits into
-	// a mergeable stats aggregate, Results.Log is nil, and memory stays
-	// bounded regardless of site count. Aggregate statistics — and so
-	// every headline table — are identical to an in-memory run's.
+	// a mergeable stats aggregate, Results.Log is nil, and memory grows by
+	// a few words per site instead of with every visit. Every statistic —
+	// and so every table and figure — is identical to an in-memory run's.
 	// Combine with SpillDir to keep the full log on disk.
 	SpillOnly bool
 	// CacheMaxBytes caps the visit cache's on-disk size; once entries
@@ -105,17 +106,28 @@ type Study struct {
 
 	codec  logstore.Codec
 	server *webserver.Server
+	// humanVisits runs the §6.2 human protocol on first use and memoizes
+	// it: its visits depend only on the study, never on a survey, and
+	// concurrent renders share the one run.
+	humanVisits func() ([]humanVisit, error)
+}
+
+// humanVisit is what the scripted human observed on one sampled site.
+type humanVisit struct {
+	site   int
+	counts map[int]int64
 }
 
 // Results bundles a completed survey.
 type Results struct {
-	// Log is the full measurement log; nil for spill-only surveys, whose
-	// measurements live in Agg (and in spill files when SpillDir is set).
+	// Log is the full measurement log of a keep-log survey, what SaveLog
+	// writes; nil for spill-only surveys, whose measurements live in Agg
+	// (and in spill files when SpillDir is set). No report reads it.
 	Log   *measure.Log
 	Stats *crawler.Stats
-	// Agg is the warm statistics source — the mergeable aggregate
-	// maintained while the survey ran, or an immutable snapshot of one;
-	// nil for Results assembled from a saved log.
+	// Agg is the statistics source — the mergeable aggregate maintained
+	// while the survey ran, one folded from spill files or a log, or an
+	// immutable snapshot of one.
 	Agg      stats.Source
 	Analysis *analysis.Analysis
 	// Resumed counts the sites replayed from a previous crashed life's
@@ -167,6 +179,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		CVEs:     cve.Generate(cfg.Seed),
 		codec:    codec,
 	}
+	s.humanVisits = sync.OnceValues(s.visitHumans)
 	if cfg.CacheDir != "" {
 		cache, err := logstore.OpenCacheLimited(cfg.CacheDir, len(reg.Features), s.cacheScope(), cfg.CacheMaxBytes)
 		if err != nil {
@@ -261,16 +274,9 @@ func (s *Study) RunSurveyContext(ctx context.Context) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The engine maintained a mergeable aggregate alongside the crawl, so
-	// analysis starts warm — no log rescan. Spill-only runs have no log at
-	// all; per-site queries then return nil.
-	var a *analysis.Analysis
-	if res.Log != nil {
-		a = analysis.NewWarm(res.Log, res.Agg, s.Registry)
-	} else {
-		a = analysis.FromStats(res.Agg, s.Registry)
-	}
-	return &Results{Log: res.Log, Stats: res.Stats, Agg: res.Agg, Analysis: a, Resumed: resumed}, nil
+	results := s.AggregateResults(res.Agg)
+	results.Log, results.Resumed = res.Log, resumed
+	return results, nil
 }
 
 // pipeline builds the configured survey engine.
@@ -380,10 +386,10 @@ func (s *Study) CrawlSites(ctx context.Context, sites []int, spill io.Writer) er
 	return w.Close() // flushes; the engine never closes an external writer
 }
 
-// AggregateResults wraps a warm statistics source — a distributed
-// coordinator's merged total, any spill-only product, or an epoch snapshot
-// served by the query server — in the Results shape every report path
-// consumes, with warm analysis attached.
+// AggregateResults wraps a statistics source — a survey's own aggregate, a
+// distributed coordinator's merged total, one folded from spill files or a
+// saved log, or an epoch snapshot served by the query server — in the
+// Results shape every report path consumes, with its analysis attached.
 func (s *Study) AggregateResults(src stats.Source) *Results {
 	return &Results{
 		Stats:    pipeline.SurveyStats(src, s.crawlConfig().PageSeconds),
@@ -407,13 +413,12 @@ func SpillGlob(pattern string) ([]string, error) {
 	return paths, nil
 }
 
-// ResultsFromSpills reconstructs a warm Results from a spill-only run's
-// per-shard spill files, streaming them through the mergeable stats layer —
-// the full log is never materialized, so memory stays bounded regardless of
-// site count. The spill files must come from a run of this study (same
-// sites, same seed); every aggregate statistic and headline table matches
-// the live run's exactly. Per-site artifacts (Figure 5, Figure 9) need the
-// full log — use logstore.ReadSpillFiles for those.
+// ResultsFromSpills reconstructs a Results from a run's per-shard spill
+// files, streaming them through the mergeable stats layer — the full log is
+// never materialized, so memory grows by a few words per site, not per
+// visit. The
+// spill files must come from a run of this study (same sites, same seed);
+// every table and figure matches the live run's exactly.
 func (s *Study) ResultsFromSpills(paths ...string) (*Results, error) {
 	agg, err := stats.FromSpills(stats.StandardsOf(s.Registry), s.Cfg.Cases, paths...)
 	if err != nil {
@@ -422,16 +427,12 @@ func (s *Study) ResultsFromSpills(paths ...string) (*Results, error) {
 	return s.AggregateResults(agg), nil
 }
 
-// RunExternalValidation performs the §6.2 protocol: visit a visit-weighted
-// sample of sites with the scripted human model and return, per site, how
-// many standards the human saw that the automated survey never did.
-func (s *Study) RunExternalValidation(results *Results) ([]int, error) {
-	if results.Log == nil {
-		return nil, fmt.Errorf("core: external validation compares per-site observations; it needs the full log, not a spill-only aggregate")
-	}
+// visitHumans runs the §6.2 protocol: the scripted human model visits a
+// visit-weighted sample of the study's sites.
+func (s *Study) visitHumans() ([]humanVisit, error) {
 	sample := s.Web.Ranking.WeightedSample(s.Cfg.HumanSample, s.Cfg.Seed+909)
 	c := s.crawler()
-	var deltas []int
+	var visits []humanVisit
 	for i, rs := range sample {
 		site := s.Web.Sites[rs.Rank-1]
 		if site.Failure != synthweb.FailNone {
@@ -441,29 +442,33 @@ func (s *Study) RunExternalValidation(results *Results) ([]int, error) {
 		if err != nil {
 			continue
 		}
-		deltas = append(deltas, results.Analysis.HumanDelta(site.Index, counts))
+		visits = append(visits, humanVisit{site: site.Index, counts: counts})
 	}
-	if len(deltas) == 0 {
+	if len(visits) == 0 {
 		return nil, fmt.Errorf("core: external validation visited no sites")
+	}
+	return visits, nil
+}
+
+// RunExternalValidation performs the §6.2 comparison: for each site the
+// scripted human visited, how many standards the human saw that the
+// automated survey never did. The human visits run once per study.
+func (s *Study) RunExternalValidation(results *Results) ([]int, error) {
+	visits, err := s.humanVisits()
+	if err != nil {
+		return nil, err
+	}
+	deltas := make([]int, len(visits))
+	for i, v := range visits {
+		deltas[i] = results.Analysis.HumanDelta(v.site, v.counts)
 	}
 	return deltas, nil
 }
 
-// WriteReport renders every table and figure of the paper from the results.
-// It needs the full log (Figures 5 and 9 are per-site artifacts).
+// WriteReport renders every table and figure of the paper from the results'
+// analysis and Table 1 stats, whichever survey, spill files, log or
+// snapshot they came from.
 func (s *Study) WriteReport(w io.Writer, results *Results) error {
-	return s.writeReport(w, results, true)
-}
-
-// WriteAggregateReport renders every artifact derivable from aggregate
-// statistics alone — the full report minus the two per-site artifacts
-// (Figure 5's visit weighting and Figure 9's external validation) — so a
-// spill-only survey reports without ever materializing its log.
-func (s *Study) WriteAggregateReport(w io.Writer, results *Results) error {
-	return s.writeReport(w, results, false)
-}
-
-func (s *Study) writeReport(w io.Writer, results *Results, perSite bool) error {
 	a := results.Analysis
 
 	report.Figure1(w)
@@ -475,10 +480,8 @@ func (s *Study) writeReport(w io.Writer, results *Results, perSite bool) error {
 	report.Figure3(w, a)
 	fmt.Fprintln(w)
 	report.Figure4(w, a)
-	if perSite {
-		fmt.Fprintln(w)
-		report.Figure5(w, a.VisitWeightedPopularity(s.Web.Ranking))
-	}
+	fmt.Fprintln(w)
+	report.Figure5(w, a.VisitWeightedPopularity(s.Web.Ranking))
 	fmt.Fprintln(w)
 	report.Figure6(w, a.AgeSeries(s.History))
 	fmt.Fprintln(w)
@@ -489,9 +492,6 @@ func (s *Study) writeReport(w io.Writer, results *Results, perSite bool) error {
 	report.Table3(w, a.NewStandardsPerRound())
 	fmt.Fprintln(w)
 	report.Figure8(w, a.Complexity())
-	if !perSite {
-		return nil
-	}
 
 	deltas, err := s.RunExternalValidation(results)
 	if err != nil {
@@ -500,6 +500,13 @@ func (s *Study) writeReport(w io.Writer, results *Results, perSite bool) error {
 	fmt.Fprintln(w)
 	report.Figure9(w, deltas)
 	return nil
+}
+
+// WriteAggregateReport is WriteReport.
+//
+// Deprecated: every report path renders the whole paper; use WriteReport.
+func (s *Study) WriteAggregateReport(w io.Writer, results *Results) error {
+	return s.WriteReport(w, results)
 }
 
 // WriteLog serializes the measurement log in the study's configured format

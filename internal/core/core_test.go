@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/logstore"
@@ -49,10 +51,27 @@ func TestEndToEndReport(t *testing.T) {
 
 func TestExternalValidationMostlyZero(t *testing.T) {
 	study, results := smallStudy(t, Config{Sites: 100, Seed: 22, HumanSample: 40})
-	deltas, err := study.RunExternalValidation(results)
-	if err != nil {
-		t.Fatal(err)
+	// Concurrent renders share the study's one run of the human protocol.
+	runs := make([][]int, 4)
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runs[i], errs[i] = study.RunExternalValidation(results)
+		}(i)
 	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(runs[i], runs[0]) {
+			t.Fatalf("concurrent external validations disagree: %v vs %v", runs[i], runs[0])
+		}
+	}
+	deltas := runs[0]
 	zero := 0
 	for _, d := range deltas {
 		if d == 0 {

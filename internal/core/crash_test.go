@@ -32,7 +32,7 @@ func crashStudyConfig(spillDir string) Config {
 func aggregateReport(t *testing.T, s *Study, res *Results) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteAggregateReport(&buf, res); err != nil {
+	if err := s.WriteReport(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -138,7 +138,7 @@ func TestCoordinatorCrashMatrix(t *testing.T) {
 		}
 
 		var buf bytes.Buffer
-		if err := study.WriteAggregateReport(&buf, study.AggregateResults(agg)); err != nil {
+		if err := study.WriteReport(&buf, study.AggregateResults(agg)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
@@ -191,7 +191,7 @@ func TestWorkerSurvivesFlakyConnection(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := study.WriteAggregateReport(&buf, study.AggregateResults(agg)); err != nil {
+	if err := study.WriteReport(&buf, study.AggregateResults(agg)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

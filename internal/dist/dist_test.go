@@ -45,7 +45,7 @@ func singleMachineReport(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := study.WriteAggregateReport(&buf, results); err != nil {
+	if err := study.WriteReport(&buf, results); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -123,7 +123,7 @@ func distributedReport(t *testing.T, workerCount, leaseSites int) []byte {
 	}
 
 	var buf bytes.Buffer
-	if err := study.WriteAggregateReport(&buf, study.AggregateResults(agg)); err != nil {
+	if err := study.WriteReport(&buf, study.AggregateResults(agg)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -201,7 +201,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := study.WriteAggregateReport(&buf, study.AggregateResults(agg)); err != nil {
+	if err := study.WriteReport(&buf, study.AggregateResults(agg)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

@@ -182,30 +182,30 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestHeaderAllocationFollowsBytes feeds a binary log and a spill stream
-// whose headers claim 2,097,150 domains and then end. Decoding must fail
-// having allocated for the bytes present: a []string of the claimed length
-// alone is 33.6 MB.
+// TestHeaderAllocationFollowsBytes feeds a binary log, a spill stream and a
+// CSV log whose headers claim about two million domains and then end.
+// Decoding must fail having allocated for the bytes present: a []string of
+// the claimed length alone is 33.6 MB.
 func TestHeaderAllocationFollowsBytes(t *testing.T) {
 	claim := []byte{0x01, 0xFE, 0xFF, 0x7F} // 1 feature, then the domain count
 	for _, c := range []struct {
 		name   string
-		magic  string
+		data   []byte
 		decode func(io.Reader) error
 	}{
-		{"binary", binaryMagic, func(r io.Reader) error { _, err := (Binary{}).Decode(r); return err }},
-		{"spill", spillMagic, func(r io.Reader) error { _, err := OpenSpills(r); return err }},
+		{"binary", append([]byte(binaryMagic), claim...), func(r io.Reader) error { _, err := (Binary{}).Decode(r); return err }},
+		{"spill", append([]byte(spillMagic), claim...), func(r io.Reader) error { _, err := OpenSpills(r); return err }},
+		{"csv", []byte(csvMagic + "1\n#domains,2097152\n"), func(r io.Reader) error { _, err := (CSV{}).Decode(r); return err }},
 	} {
-		data := append([]byte(c.magic), claim...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := c.decode(bytes.NewReader(data))
+		err := c.decode(bytes.NewReader(c.data))
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: a header with no domain names decoded", c.name)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-			t.Errorf("%s: decoding a %d-byte header allocated %d bytes", c.name, len(data), grew)
+			t.Errorf("%s: decoding a %d-byte header allocated %d bytes", c.name, len(c.data), grew)
 		}
 	}
 }

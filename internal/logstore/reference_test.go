@@ -349,9 +349,9 @@ func referenceSpillRecord(r *refReader, kind SpillKind, numFeatures, numDomains 
 // referenceDecodeCSV is CSV.Decode splitting every line into strings.
 func referenceDecodeCSV(r io.Reader) (*measure.Log, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(make([]byte, 64<<10), 1<<24)
 	l := &measure.Log{Cases: make(map[measure.Case]*measure.CaseLog)}
-	line, cells := 0, 0
+	line, cells, numDomains := 0, 0, 0
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -377,24 +377,27 @@ func referenceDecodeCSV(r io.Reader) (*measure.Log, error) {
 			if err != nil || n < 0 || n > maxDomains {
 				return nil, fmt.Errorf("logstore: csv line %d: bad domain count", line)
 			}
-			l.Domains = make([]string, n)
-			l.Measured = make([]bool, n)
+			numDomains = n
+			l.Domains, l.Measured = []string{}, []bool{}
 		case strings.HasPrefix(text, "#domain,"):
 			if len(parts) != 4 {
 				return nil, fmt.Errorf("logstore: csv line %d: bad domain record", line)
 			}
 			idx, err := strconv.Atoi(parts[1])
-			if err != nil || idx < 0 || idx >= len(l.Domains) {
+			if err != nil || idx != len(l.Domains) || idx >= numDomains {
 				return nil, fmt.Errorf("logstore: csv line %d: bad domain index", line)
 			}
-			l.Domains[idx] = parts[2]
-			l.Measured[idx] = parts[3] == "true"
+			l.Domains = append(l.Domains, parts[2])
+			l.Measured = append(l.Measured, parts[3] == "true")
 		case strings.HasPrefix(text, "#case,"):
 			if len(parts) != 5 {
 				return nil, fmt.Errorf("logstore: csv line %d: bad case record", line)
 			}
 			if l.Domains == nil {
 				return nil, fmt.Errorf("logstore: csv line %d: case before domain header", line)
+			}
+			if len(l.Domains) != numDomains {
+				return nil, fmt.Errorf("logstore: csv line %d: %d domain records for a header of %d", line, len(l.Domains), numDomains)
 			}
 			if _, dup := l.Cases[measure.Case(parts[1])]; dup {
 				return nil, fmt.Errorf("logstore: csv line %d: duplicate case %q", line, parts[1])
@@ -454,6 +457,9 @@ func referenceDecodeCSV(r io.Reader) (*measure.Log, error) {
 	}
 	if l.NumFeatures == 0 || l.Domains == nil {
 		return nil, fmt.Errorf("logstore: csv log missing header records")
+	}
+	if len(l.Domains) != numDomains {
+		return nil, fmt.Errorf("logstore: csv log has %d domain records for a header of %d", len(l.Domains), numDomains)
 	}
 	return l, nil
 }

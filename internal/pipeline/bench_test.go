@@ -151,9 +151,11 @@ func BenchmarkAggregateMerge(b *testing.B) {
 }
 
 // BenchmarkAggregateMemoryScaling is the spill-only acceptance benchmark:
-// live aggregate memory must stay flat as the site count scales, because a
-// retired site leaves only counter increments behind. Keep-log aggregates
-// are measured alongside for contrast — their grids grow linearly. The
+// as the site count scales, live aggregate memory must grow only by each
+// retired site's default-case standard set (two words at 75 standards),
+// because a retired site leaves nothing else but counter increments behind.
+// Keep-log aggregates are measured alongside for contrast — their grids
+// grow with every visit's feature set. The
 // live-MB metric is the heap growth attributable to the one aggregate held
 // at measurement time.
 func BenchmarkAggregateMemoryScaling(b *testing.B) {

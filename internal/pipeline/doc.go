@@ -20,13 +20,14 @@
 // context.Context cancels the whole pipeline gracefully.
 //
 // The engine has two memory modes. The default keeps the full per-visit
-// grid, so Result.Log is the complete measure.Log — and the aggregate's
-// incrementally maintained statistics make analysis start warm, with no
-// log rescan. SpillOnly drops the grid entirely: each shard folds its
-// visits into a local stats.Aggregate (plus a streaming spill file when
-// SpillDir is set), the shard aggregates merge after the run, and memory
-// stays bounded regardless of site count; stats.FromSpills rebuilds the
-// identical aggregate from the spill files alone.
+// grid, so Result.Log is the complete measure.Log, ready to save. SpillOnly
+// drops the grid entirely: each shard folds its visits into a local
+// stats.Aggregate (plus a streaming spill file when SpillDir is set), the
+// shard aggregates merge after the run, and memory grows by only the
+// aggregate's per-site standard sets (a few words a site), not per visit;
+// stats.FromSpills rebuilds the identical aggregate from the spill files
+// alone. Either way the aggregate answers every analysis query, so both
+// modes render the whole paper without rescanning a log.
 //
 // Determinism is the engine's contract: because visit randomness depends
 // only on (seed, site, case, round) and every aggregate cell is written by

@@ -58,9 +58,9 @@ type Config struct {
 	// SpillOnly drops the in-memory log: each shard folds its visits
 	// into a local mergeable stats.Aggregate (plus its spill file when
 	// SpillDir is set), the shard aggregates merge after the run, and
-	// Result.Log is nil. Memory stays bounded regardless of site count;
-	// every aggregate statistic (and therefore every headline table) is
-	// identical to the in-memory run's.
+	// Result.Log is nil. Memory grows by a few words per site instead of
+	// with every visit; every statistic (and therefore every table and
+	// figure) is identical to the in-memory run's.
 	SpillOnly bool
 	// Sites, when non-nil, restricts the survey to these site indices of
 	// the web (a distributed lease); nil crawls every site. The stats
@@ -83,16 +83,6 @@ type Config struct {
 	// Crawl carries the survey methodology (rounds, branch factor, page
 	// budget, cases, seed) and the crawler's reference-path switches.
 	Crawl crawler.Config
-}
-
-// DefaultConfig mirrors the paper's methodology with a modest level of
-// parallelism: 2 shards × 4 workers.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Shards:          2,
-		WorkersPerShard: 4,
-		Crawl:           crawler.DefaultConfig(seed),
-	}
 }
 
 // normalized fills defaults in place of zero fields.

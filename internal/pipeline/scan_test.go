@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -89,6 +90,30 @@ func (s scanSource) Complexity() []int {
 	return out
 }
 
+// StandardNames numbers the distinct standards of the mapping in sorted
+// order.
+func (s scanSource) StandardNames() []standards.Abbrev {
+	names := slices.Clone(s.stdOf)
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// SiteStandards is the site's default-case standard set over
+// StandardNames.
+func (s scanSource) SiteStandards(site int) (measure.Bitset, bool) {
+	set := s.siteStandards(measure.CaseDefault, site)
+	if set == nil {
+		return nil, false
+	}
+	names := s.StandardNames()
+	out := measure.NewBitset(len(names))
+	for std := range set {
+		i, _ := slices.BinarySearch(names, std)
+		out.Set(i)
+	}
+	return out, true
+}
+
 func (s scanSource) NewStandardsPerRound() []float64 {
 	cl := s.log.Cases[measure.CaseDefault]
 	if cl == nil {
@@ -132,8 +157,9 @@ func (s scanSource) NewStandardsPerRound() []float64 {
 
 // sourceDiffs lists every query on which got disagrees with the reference
 // scan. Complexity is compared as a multiset (the folds return it
-// ascending), and a series that is nil on one side must be empty on the
-// other.
+// ascending), a series that is nil on one side must be empty on the other,
+// and each site's default-case standards are compared by name against the
+// log's SiteUnion.
 func sourceDiffs(got stats.Source, ref scanSource) []string {
 	var diffs []string
 	check := func(ok bool, what string) {
@@ -157,6 +183,20 @@ func sourceDiffs(got stats.Source, ref scanSource) []string {
 	slices.Sort(refComplexity)
 	check(slices.Equal(got.Complexity(), refComplexity), "Complexity")
 	check(slices.Equal(got.NewStandardsPerRound(), ref.NewStandardsPerRound()), "NewStandardsPerRound")
+	names := got.StandardNames()
+	for site := 0; site < ref.NumSites(); site++ {
+		set, ok := got.SiteStandards(site)
+		var gotStd map[standards.Abbrev]bool
+		if ok {
+			gotStd = make(map[standards.Abbrev]bool)
+			set.ForEach(len(names), func(i int) { gotStd[names[i]] = true })
+		}
+		check(reflect.DeepEqual(gotStd, ref.siteStandards(measure.CaseDefault, site)), fmt.Sprintf("SiteStandards(%d)", site))
+	}
+	for _, site := range []int{-1, ref.NumSites()} {
+		_, ok := got.SiteStandards(site)
+		check(!ok, fmt.Sprintf("SiteStandards(%d) outside the site list", site))
+	}
 	return diffs
 }
 

@@ -19,11 +19,11 @@ import (
 	"repro/internal/stats"
 )
 
-// renderHeadlines renders every aggregate-statistics artifact the engines
-// must agree on, byte for byte: Table 1, the feature popularity and
-// blocked-vs-unblocked headline tables, and the standard-level figures and
-// tables. (Figure 5 and Figure 9 are per-site artifacts; they need the full
-// log and are exercised by the cold path only.)
+// renderHeadlines renders every artifact the engines must agree on, byte
+// for byte: Table 1, the feature popularity and blocked-vs-unblocked
+// headline tables, and the standard-level figures and tables. (Figure 9
+// needs a core.Study's human protocol; TestGolden pins it on the log and
+// spill paths alike.)
 func renderHeadlines(a *analysis.Analysis, st *crawler.Stats, db *cve.Database, hist *firefoxhist.History) string {
 	var buf bytes.Buffer
 	report.Table1(&buf, st)
@@ -36,6 +36,7 @@ func renderHeadlines(a *analysis.Analysis, st *crawler.Stats, db *cve.Database, 
 	report.Headlines(&buf, a, db)
 	report.Figure3(&buf, a)
 	report.Figure4(&buf, a)
+	report.Figure5(&buf, a.VisitWeightedPopularity(testWeb.Ranking))
 	report.Figure6(&buf, a.AgeSeries(hist))
 	report.Figure7(&buf, a.AdVsTrackerRates())
 	report.Table2(&buf, a.Table2(db))
@@ -155,8 +156,8 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 // TestWarmAnalysisMatchesCold is the warm-start acceptance test: both
 // aggregate paths into an analysis — the pipeline's live aggregate and the
 // fold of the baseline log that analysis.New builds — must answer every
-// aggregate method exactly as the reference scan of the baseline log does,
-// and an analysis holding a log must answer the per-site methods from it.
+// method, Figure 5's and Figure 9's per-site ones included, exactly as the
+// reference scan of the baseline log does.
 func TestWarmAnalysisMatchesCold(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{
@@ -241,21 +242,18 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 		) {
 			t.Errorf("%s: FeatureDeltas diverges from the scan", fold.name)
 		}
-	}
-
-	// Per-site methods degrade to nil without a log...
-	warm := analysis.FromStats(res.Agg, reg)
-	if warm.SiteStandards(measure.CaseDefault) != nil {
-		t.Error("warm-only SiteStandards should be nil")
-	}
-	if warm.VisitWeightedPopularity(testWeb.Ranking) != nil {
-		t.Error("warm-only VisitWeightedPopularity should be nil")
-	}
-	// ...and read the log when there is one, whichever aggregate answers
-	// the rest.
-	both := analysis.NewWarm(res.Log, res.Agg, reg)
-	fromLog := analysis.New(baseLog, reg)
-	if !reflect.DeepEqual(both.VisitWeightedPopularity(testWeb.Ranking), fromLog.VisitWeightedPopularity(testWeb.Ranking)) {
-		t.Error("VisitWeightedPopularity diverges between the pipeline's log and the baseline log")
+		if !reflect.DeepEqual(a.VisitWeightedPopularity(testWeb.Ranking), ref.VisitWeightedPopularity(testWeb.Ranking)) {
+			t.Errorf("%s: VisitWeightedPopularity diverges from the scan", fold.name)
+		}
+		// A human who saw the next site's default-case features: the
+		// delta counts the standards of that set missing from this site's.
+		for site := range testWeb.Sites {
+			human := make(map[int]int64)
+			next := baseLog.SiteUnion(measure.CaseDefault, (site+1)%len(testWeb.Sites))
+			next.ForEach(baseLog.NumFeatures, func(id int) { human[id] = 1 })
+			if got, want := a.HumanDelta(site, human), ref.HumanDelta(site, human); got != want {
+				t.Errorf("%s: HumanDelta(%d) = %d, the scan says %d", fold.name, site, got, want)
+			}
+		}
 	}
 }

@@ -338,8 +338,17 @@ func TestRequestTimeout(t *testing.T) {
 		t.Errorf("503 took %v; the deadline is 100ms, the client must not wait out the render", elapsed)
 	}
 
-	// The orphaned render finishes and is cached: the retry succeeds.
-	time.Sleep(400 * time.Millisecond)
+	// The orphaned render finishes and is cached: the retry succeeds. Wait
+	// for it rather than for the hook's sleep, because a study's first
+	// report also runs the human protocol behind Figure 9.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if _, m := doReq(t, ts, http.MethodGet, "/metrics", nil); bytes.Contains(m, []byte("\nserve_inflight_renders 0\n")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out render never finished")
+		}
+	}
 	resp2, _ := doReq(t, ts, http.MethodGet, "/report", nil)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("retry after render completed: status %d, want 200", resp2.StatusCode)

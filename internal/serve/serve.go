@@ -422,7 +422,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, "report", func(v *epochView, _ queryParams) ([]byte, string, error) {
 		var buf bytes.Buffer
-		if err := s.study.WriteAggregateReport(&buf, v.res); err != nil {
+		if err := s.study.WriteReport(&buf, v.res); err != nil {
 			return nil, "", err
 		}
 		return buf.Bytes(), "text/plain; charset=utf-8", nil

@@ -58,7 +58,7 @@ func runBatch(t *testing.T) (report []byte, spillGlob string) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := study.WriteAggregateReport(&buf, results); err != nil {
+	if err := study.WriteReport(&buf, results); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), filepath.Join(dir, "*")

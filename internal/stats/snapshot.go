@@ -26,6 +26,10 @@ type Source interface {
 	BlockedSites(measure.Case) map[standards.Abbrev]int
 	Complexity() []int
 	NewStandardsPerRound() []float64
+	// SiteStandards and StandardNames may return shared slices; callers
+	// must not modify them.
+	SiteStandards(site int) (measure.Bitset, bool)
+	StandardNames() []standards.Abbrev
 }
 
 var (
@@ -42,9 +46,10 @@ var (
 // aggregate after some integer number of completed merges/folds.
 //
 // Every query method matches the Aggregate method of the same name exactly
-// (same copies-out semantics, same untracked-case behavior), which is what
-// lets a warm analysis — and therefore every report artifact — be computed
-// from a snapshot byte-identically to the batch path.
+// (same untracked-case behavior, and copies out like it except for the
+// per-site sets, which an immutable snapshot shares), which is what lets a
+// warm analysis — and therefore every report artifact — be computed from a
+// snapshot byte-identically to the batch path.
 type Snapshot struct {
 	epoch       uint64
 	numFeatures int
@@ -68,6 +73,9 @@ type Snapshot struct {
 	nspSums      []int64
 	nspMeasured  int
 	measured     int
+	stdWords     int
+	siteStd      []uint64
+	observed     measure.Bitset
 }
 
 // Epoch is the snapshot's publication sequence number: it starts at 1 and
@@ -173,6 +181,20 @@ func (s *Snapshot) NewStandardsPerRound() []float64 {
 	return out
 }
 
+// SiteStandards returns the site's default-case standard set as of the
+// snapshot, as Aggregate.SiteStandards does, but shares it: a snapshot
+// never changes, and Figure 5 reads every site's set on each render.
+func (s *Snapshot) SiteStandards(site int) (measure.Bitset, bool) {
+	if !s.observed.Get(site) {
+		return nil, false
+	}
+	return s.siteStd[site*s.stdWords : (site+1)*s.stdWords], true
+}
+
+// StandardNames lists the standards SiteStandards' bits index. The slice
+// is shared.
+func (s *Snapshot) StandardNames() []standards.Abbrev { return s.stdNames }
+
 // Snapshot returns the most recently published snapshot, publishing one
 // first if none exists yet. It never blocks on ingestion once a snapshot
 // has been published: the common path is a single atomic load.
@@ -199,10 +221,9 @@ func (a *Aggregate) Epoch() uint64 {
 // for every derived tally, while the raw invocation/page totals may include
 // visits of still-open sites.
 //
-// Merge publishes automatically after every merge (the lease-commit path),
-// and Config.PublishEvery makes the per-visit path publish after every N
-// folded sites; Publish is for everyone else — a batch load that wants its
-// one snapshot after ingestion, or a server forcing a refresh.
+// Merge publishes automatically after every merge (the lease-commit path);
+// Publish is for everyone else — a batch load that wants its one snapshot
+// after ingestion, or a server forcing a refresh.
 func (a *Aggregate) Publish() *Snapshot {
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
@@ -254,27 +275,11 @@ func (a *Aggregate) publishLocked() *Snapshot {
 	s.nspSums = append([]int64(nil), a.nspSums...)
 	s.nspMeasured = a.nspMeasured
 	s.measured = a.measured
+	s.stdWords = a.stdWords
+	s.siteStd = slices.Clone(a.siteStd)
+	s.observed = slices.Clone(a.observed)
 	a.foldMu.Unlock()
 
 	a.snap.Store(s)
 	return s
-}
-
-// maybeAutoPublish publishes when the auto-publication threshold
-// (Config.PublishEvery folded sites) has been crossed. folds is the number
-// of sites the caller just folded; it must be called without foldMu held.
-func (a *Aggregate) maybeAutoPublish(folds int) {
-	if a.cfg.PublishEvery <= 0 || folds == 0 {
-		return
-	}
-	a.foldMu.Lock()
-	a.endsSincePub += folds
-	doPub := a.endsSincePub >= a.cfg.PublishEvery
-	if doPub {
-		a.endsSincePub = 0
-	}
-	a.foldMu.Unlock()
-	if doPub {
-		a.Publish()
-	}
 }

@@ -12,6 +12,10 @@ import (
 // answers can be compared wholesale.
 func sourceSnap(s Source) snapshot {
 	inv, pages := s.Totals()
+	sites := make([]measure.Bitset, s.NumSites())
+	for site := range sites {
+		sites[site], _ = s.SiteStandards(site)
+	}
 	return snapshot{
 		FeatureSitesDefault:  s.FeatureSites(measure.CaseDefault),
 		FeatureSitesBlocking: s.FeatureSites(measure.CaseBlocking),
@@ -24,6 +28,8 @@ func sourceSnap(s Source) snapshot {
 		Measured:             s.MeasuredCount(),
 		Invocations:          inv,
 		Pages:                pages,
+		StandardNames:        s.StandardNames(),
+		SiteStandards:        sites,
 	}
 }
 
@@ -137,41 +143,6 @@ func TestSnapshotEpochSequence(t *testing.T) {
 	}
 }
 
-// TestAutoPublishEvery checks Config.PublishEvery: the per-visit path
-// publishes a fresh epoch after every N folded sites, without anyone
-// calling Publish.
-func TestAutoPublishEvery(t *testing.T) {
-	const every = 4
-	cfg := tConfig()
-	cfg.PublishEvery = every
-	agg, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := tSurvey(42)
-	feed(t, agg, sites)
-
-	folded := 0
-	for _, ev := range sites {
-		if len(ev.visits) > 0 || len(ev.fails) > 0 {
-			folded++ // sites with no events are never opened, so never folded
-		}
-	}
-	if want := uint64(folded / every); agg.Epoch() != want {
-		t.Errorf("epoch after %d folded sites with PublishEvery=%d is %d, want %d",
-			folded, every, agg.Epoch(), want)
-	}
-	if agg.Epoch() == 0 {
-		t.Fatal("auto-publication never fired")
-	}
-	// The auto-published snapshot is a whole-site prefix: everything it
-	// reports is consistent with some number of completed sites — here the
-	// survey is done, so a final Publish must equal the full state.
-	if got, want := sourceSnap(agg.Publish()), sourceSnap(agg); !reflect.DeepEqual(got, want) {
-		t.Error("final snapshot diverges from the aggregate")
-	}
-}
-
 // TestFromLogMatchesLive replays a measurement log through FromLog and
 // requires the result to answer every aggregate query identically to the
 // live aggregate that saw the same survey.
@@ -207,7 +178,7 @@ func TestFromLogMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snap(replayed), snap(live); !reflect.DeepEqual(got, want) {
+	if got, want := sourceSnap(replayed), sourceSnap(live); !reflect.DeepEqual(got, want) {
 		t.Errorf("FromLog diverges from the live aggregate:\n got %+v\nwant %+v", got, want)
 	}
 	if n := replayed.OpenSites(); n != 0 {

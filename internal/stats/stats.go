@@ -65,11 +65,6 @@ type Config struct {
 	// aggregate into a full measure.Log. Costs O(cases × rounds × sites)
 	// memory; spill-only pipelines leave it off.
 	KeepLog bool
-	// PublishEvery, when positive, auto-publishes a fresh Snapshot after
-	// every N folded sites on the per-visit path (EndSite/Apply). Merge
-	// always publishes regardless; 0 leaves the per-visit path snapshot-
-	// free until someone calls Publish or Snapshot.
-	PublishEvery int
 	// Domains[siteIndex] is the site's domain; required with KeepLog
 	// (the log records domains), ignored otherwise.
 	Domains []string
@@ -104,6 +99,7 @@ type stripe struct {
 
 // openSite accumulates one site's visits until EndSite folds it.
 type openSite struct {
+	site int
 	// unions[caseIdx] is the union of the site's feature sets across
 	// rounds; nil until the case's first visit.
 	unions []measure.Bitset
@@ -156,6 +152,13 @@ type Aggregate struct {
 	nspSums     []int64
 	nspMeasured int
 	measured    int
+	// siteStd holds each folded site's default-case standard set, stdWords
+	// words from siteStd[site*stdWords]; observed marks the sites with a
+	// default-case visit, failed or not, so a static site (observed, no
+	// standards) differs from one the default case never reached. They are
+	// Figure 5's and Figure 9's per-site data.
+	siteStd  []uint64
+	observed measure.Bitset
 	// Fold scratch, reused by every fold: caseSets holds one standard
 	// bitset per case, seen and tmp one each.
 	caseSets  []uint64
@@ -171,12 +174,10 @@ type Aggregate struct {
 	// Epoch-snapshot read path (snapshot.go). pubMu serializes snapshot
 	// publication with Merge, so every published snapshot reflects an
 	// integer number of completed merges; snap is the RCU pointer readers
-	// load lock-free; epochSeq (guarded by pubMu) numbers publications;
-	// endsSincePub (guarded by foldMu) drives Config.PublishEvery.
-	pubMu        sync.Mutex
-	snap         atomic.Pointer[Snapshot]
-	epochSeq     uint64
-	endsSincePub int
+	// load lock-free; epochSeq (guarded by pubMu) numbers publications.
+	pubMu    sync.Mutex
+	snap     atomic.Pointer[Snapshot]
+	epochSeq uint64
 }
 
 // New builds an aggregate for a study.
@@ -222,6 +223,8 @@ func New(cfg Config) (*Aggregate, error) {
 	}
 	a.stdWords = (len(a.stdNames) + 63) / 64
 	a.complexity = make([]int, len(a.stdNames)+1)
+	a.siteStd = make([]uint64, cfg.NumSites*a.stdWords)
+	a.observed = measure.NewBitset(cfg.NumSites)
 	a.caseSets = make([]uint64, len(cfg.Cases)*a.stdWords)
 	a.seen = make([]uint64, a.stdWords)
 	a.tmp = make([]uint64, a.stdWords)
@@ -339,7 +342,6 @@ func (a *Aggregate) Apply(b Batch) error {
 		a.foldLocked(o)
 	}
 	a.foldMu.Unlock()
-	a.maybeAutoPublish(len(folds))
 	return nil
 }
 
@@ -392,7 +394,6 @@ func (a *Aggregate) EndOpenSites() {
 		a.foldLocked(o)
 	}
 	a.foldMu.Unlock()
-	a.maybeAutoPublish(len(folds))
 }
 
 func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {
@@ -404,7 +405,7 @@ func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {
 	}
 	o := st.open[v.Site]
 	if o == nil {
-		o = &openSite{unions: make([]measure.Bitset, len(a.cfg.Cases))}
+		o = &openSite{site: v.Site, unions: make([]measure.Bitset, len(a.cfg.Cases))}
 		st.open[v.Site] = o
 	}
 	o.recorded = true
@@ -434,7 +435,7 @@ func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {
 func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 	o := st.open[site]
 	if o == nil {
-		o = &openSite{unions: make([]measure.Bitset, len(a.cfg.Cases))}
+		o = &openSite{site: site, unions: make([]measure.Bitset, len(a.cfg.Cases))}
 		st.open[site] = o
 	}
 	o.failed = true
@@ -445,7 +446,8 @@ func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 
 // foldLocked retires one site: its per-case unions become feature- and
 // standard-site increments, its default set drives the block-pair,
-// complexity, and new-standards tallies. Must hold foldMu.
+// complexity, and new-standards tallies and is kept as the site's standard
+// set. Must hold foldMu.
 //
 // The tallies mirror a scan of the full log exactly: union-based counts
 // include partially measured (failed) sites, while complexity and
@@ -480,6 +482,8 @@ func (a *Aggregate) foldLocked(o *openSite) {
 		return
 	}
 	def := a.caseSets[a.defIdx*w : (a.defIdx+1)*w]
+	a.observed.Set(o.site)
+	measure.Bitset(a.siteStd[o.site*w : (o.site+1)*w]).Or(def)
 	for ci := range a.cfg.Cases {
 		if ci == a.defIdx {
 			continue // a site never blocks its own default set
@@ -692,6 +696,26 @@ func (a *Aggregate) NewStandardsPerRound() []float64 {
 	return out
 }
 
+// SiteStandards returns the site's default-case standard set, a bitset over
+// the indices of StandardNames, and whether the default case observed the
+// site at all: a static site is observed with an empty set, while a site
+// the default case never reached, or one outside the site list, is not.
+// The set is a copy, since a merge may still OR into the aggregate's.
+func (a *Aggregate) SiteStandards(site int) (measure.Bitset, bool) {
+	a.foldMu.Lock()
+	defer a.foldMu.Unlock()
+	if !a.observed.Get(site) {
+		return nil, false
+	}
+	w := a.stdWords
+	return slices.Clone(measure.Bitset(a.siteStd[site*w : (site+1)*w])), true
+}
+
+// StandardNames lists the distinct standards of Config.Standards in the
+// dense-index order of SiteStandards' bits. The slice is shared: it never
+// changes after New.
+func (a *Aggregate) StandardNames() []standards.Abbrev { return a.stdNames }
+
 // MeasuredCount returns how many sites produced measurements and never
 // failed a visit.
 func (a *Aggregate) MeasuredCount() int {
@@ -756,10 +780,10 @@ func (a *Aggregate) Log() *measure.Log {
 // Merge folds other into a: the mergeable-aggregate operation behind
 // spill-only shard merging and distributed shards reporting home. Both
 // aggregates must describe the same study (features, sites, cases, mode)
-// and must have no open sites — end them first. Keep-log merges
-// additionally require the two grids to cover disjoint cells (the
-// pipeline's site partitioning guarantees it); overlapping cells are
-// overwritten, not detected.
+// and must have no open sites — end them first. Tallies add and per-site
+// standard sets are ORed. Keep-log merges additionally require the two
+// grids to cover disjoint cells (the pipeline's site partitioning
+// guarantees it); overlapping cells are overwritten, not detected.
 //
 // Merges are serialized with each other and with snapshot publication, and
 // every successful merge publishes a fresh Snapshot — so concurrent readers
@@ -840,6 +864,8 @@ func (a *Aggregate) Merge(other *Aggregate) error {
 	}
 	a.nspMeasured += other.nspMeasured
 	a.measured += other.measured
+	measure.Bitset(a.siteStd).Or(other.siteStd)
+	a.observed.Or(other.observed)
 	other.foldMu.Unlock()
 	a.foldMu.Unlock()
 

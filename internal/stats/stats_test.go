@@ -113,23 +113,8 @@ type snapshot struct {
 	Measured             int
 	Invocations          int64
 	Pages                int64
-}
-
-func snap(a *Aggregate) snapshot {
-	inv, pages := a.Totals()
-	return snapshot{
-		FeatureSitesDefault:  a.FeatureSites(measure.CaseDefault),
-		FeatureSitesBlocking: a.FeatureSites(measure.CaseBlocking),
-		StdSitesDefault:      a.StandardSites(measure.CaseDefault),
-		StdSitesBlocking:     a.StandardSites(measure.CaseBlocking),
-		BlockedBlocking:      a.BlockedSites(measure.CaseBlocking),
-		BlockedUntracked:     a.BlockedSites(measure.CaseGhostery),
-		Complexity:           a.Complexity(),
-		NSP:                  a.NewStandardsPerRound(),
-		Measured:             a.MeasuredCount(),
-		Invocations:          inv,
-		Pages:                pages,
-	}
+	StandardNames        []standards.Abbrev
+	SiteStandards        []measure.Bitset // nil for a site the default case never observed
 }
 
 // TestAggregateMatchesColdScan feeds a synthetic survey into an aggregate
@@ -251,7 +236,7 @@ func TestAggregateMergeEqualsSingle(t *testing.T) {
 	if err := shard0.Merge(shard1); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := snap(shard0), snap(whole); !reflect.DeepEqual(got, want) {
+	if got, want := sourceSnap(shard0), sourceSnap(whole); !reflect.DeepEqual(got, want) {
 		t.Errorf("merged shards diverge from the single aggregate:\n got %+v\nwant %+v", got, want)
 	}
 }
@@ -266,7 +251,7 @@ func TestFromSpillsMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(t, live, sites)
-	want := snap(live)
+	want := sourceSnap(live)
 
 	for _, markers := range []bool{true, false} {
 		name := "with-markers"
@@ -306,7 +291,7 @@ func TestFromSpillsMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := snap(agg); !reflect.DeepEqual(got, want) {
+			if got := sourceSnap(agg); !reflect.DeepEqual(got, want) {
 				t.Errorf("FromSpills diverges from the live aggregate:\n got %+v\nwant %+v", got, want)
 			}
 			if n := agg.OpenSites(); n != 0 {
