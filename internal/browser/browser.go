@@ -24,11 +24,11 @@ type Extension interface {
 	OnDOMReady(p *Page)
 }
 
-// Browser is a reusable browser profile: bindings, fetcher, extensions, and
-// the revisit fast path's caches and pools (see the package documentation).
-// The crawl revisits every URL dozens of times, so the browser caches
-// compiled scripts and parsed page templates across loads and recycles page
-// and runtime structures via Release.
+// Browser is a reusable browser profile: bindings, fetcher, extensions,
+// page and runtime pools, and the Cache it draws on for the revisit fast
+// path (see the package documentation). The crawl revisits every URL dozens
+// of times, so parsed page templates and compiled scripts come from the
+// cache, and Release recycles page and runtime structures.
 type Browser struct {
 	Bindings   *webapi.Bindings
 	Fetcher    webserver.Fetcher
@@ -44,38 +44,20 @@ type Browser struct {
 	// entries skip compilation and every execution walks []Stmt through
 	// webscript.Execute. Like DisableReuse it is an ablation/differential
 	// knob — set it before the first Load and leave it — and survey results
-	// are identical either way (test-enforced).
+	// are identical either way (test-enforced). Browsers sharing a Cache
+	// must agree on it: the cache keeps whatever form the browser that
+	// inserted a script built, compiled or not.
 	DisableScriptCompile bool
 
-	// dispatch interns the feature references of every script this browser
-	// compiles; executionHost indexes its published slice per op.
-	dispatch *webapi.DispatchTable
-
-	cacheMu   sync.Mutex
-	scripts   *lruCache[*cachedScript]
-	templates *lruCache[*domTemplate]
-	// resolved memoizes resolveURL outcomes (key: page URL + ref) and
-	// navClean the parse+clean of recorded navigation attempts — the two
-	// url.Parse hot spots the revisit workload repeats endlessly.
-	resolved *lruCache[string]
-	navClean *lruCache[navResolved]
+	cache *Cache
 
 	pagePool    sync.Pool // *Page
 	runtimePool sync.Pool // *webapi.Runtime, instrumented by this browser's extensions
 }
 
-// New creates a browser profile.
+// New creates a browser profile with a private Cache.
 func New(b *webapi.Bindings, f webserver.Fetcher, exts ...Extension) *Browser {
-	return &Browser{
-		Bindings:   b,
-		Fetcher:    f,
-		Extensions: exts,
-		dispatch:   b.NewDispatchTable(),
-		scripts:    newLRUCache[*cachedScript](scriptCacheCap),
-		templates:  newLRUCache[*domTemplate](templateCacheCap),
-		resolved:   newLRUCache[string](resolveCacheCap),
-		navClean:   newLRUCache[navResolved](resolveCacheCap),
-	}
+	return NewCache(b).NewBrowser(f, exts...)
 }
 
 // ScriptError records a script that failed to parse or execute, with its
@@ -141,8 +123,8 @@ type Page struct {
 
 // executionHost adapts a page (and the executing script's origin) to the
 // webscript.Host and webscript.OpHost interfaces. For the compiled path,
-// refs is the browser dispatch table's published slice, loaded once per
-// statement block.
+// refs is the published slice of the cache's dispatch table, loaded once
+// per statement block.
 type executionHost struct {
 	page   *Page
 	origin string
@@ -190,7 +172,7 @@ func (p *Page) runBody(ops []webscript.Op, stmts []webscript.Stmt, origin string
 // resolveURL resolves a possibly relative reference against the page URL,
 // memoized at two levels: a visit-local map on the page (gremlin hordes and
 // timer handlers resolve the same few references thousands of times per
-// visit, lock-free after the first) and the browser's LRU keyed by
+// visit, lock-free after the first) and the cache's LRU keyed by
 // (page URL, ref), which survives page recycling across the cases × rounds
 // revisits of the same URL.
 func (p *Page) resolveURL(ref string) string {
@@ -214,17 +196,18 @@ func (p *Page) resolveURLSlow(ref string) string {
 		// Cheaper than the LRU would be; don't spend entries on it.
 		return s
 	}
+	c := b.cache
 	key := p.urlStr + "\x00" + ref
-	b.cacheMu.Lock()
-	s, ok := b.resolved.get(key)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	s, ok := c.resolved.get(key)
+	c.mu.Unlock()
 	if ok {
 		return s
 	}
 	s = slowResolveAgainst(p.URL, ref)
-	b.cacheMu.Lock()
-	b.resolved.put(key, s)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.resolved.put(key, s)
+	c.mu.Unlock()
 	return s
 }
 
@@ -404,7 +387,7 @@ func (p *Page) reset() {
 func (p *Page) installScript(origin string, cs *cachedScript) {
 	var refs []webapi.Dispatch
 	if cs.compiled != nil {
-		refs = p.browser.dispatch.Refs()
+		refs = p.browser.cache.dispatch.Refs()
 		p.runBody(cs.compiled.Immediate, nil, origin, refs)
 	} else {
 		p.runBody(nil, cs.script.Immediate, origin, nil)
@@ -440,7 +423,7 @@ func (p *Page) fire(ev webscript.EventType, target *dom.Node) {
 			}
 		}
 		if bh.ops != nil && refs == nil {
-			refs = p.browser.dispatch.Refs()
+			refs = p.browser.cache.dispatch.Refs()
 		}
 		p.runBody(bh.ops, bh.h.Body, bh.origin, refs)
 	}
@@ -487,7 +470,7 @@ func (p *Page) AdvanceClock(dt float64) {
 			continue
 		}
 		if bh.ops != nil && refs == nil {
-			refs = p.browser.dispatch.Refs()
+			refs = p.browser.cache.dispatch.Refs()
 		}
 		interval := float64(bh.h.Interval)
 		for next := bh.lastRun + interval; next <= target; next += interval {
@@ -554,7 +537,7 @@ type navResolved struct {
 // calls this once per page with per-Visitor scratch instead of allocating
 // fresh maps and a slice every page. Raw attempts repeat heavily (timer
 // handlers re-navigate the same path every tick), so identical raws are
-// dropped before parsing and parse results are memoized in the browser.
+// dropped before parsing and parse results are memoized in the cache.
 func (p *Page) LocalNavAttemptsInto(sameSite func(host string) bool, seen, rawSeen map[string]bool, out []string) []string {
 	clear(seen)
 	clear(rawSeen)
@@ -567,18 +550,18 @@ func (p *Page) LocalNavAttemptsInto(sameSite func(host string) bool, seen, rawSe
 		var nr navResolved
 		ok := false
 		if b != nil {
-			b.cacheMu.Lock()
-			nr, ok = b.navClean.get(raw)
-			b.cacheMu.Unlock()
+			b.cache.mu.Lock()
+			nr, ok = b.cache.navClean.get(raw)
+			b.cache.mu.Unlock()
 		}
 		if !ok {
 			if u, err := url.Parse(raw); err == nil {
 				nr = navResolved{clean: u.Scheme + "://" + u.Host + u.Path, host: u.Hostname()}
 			}
 			if b != nil {
-				b.cacheMu.Lock()
-				b.navClean.put(raw, nr)
-				b.cacheMu.Unlock()
+				b.cache.mu.Lock()
+				b.cache.navClean.put(raw, nr)
+				b.cache.mu.Unlock()
 			}
 		}
 		if nr.clean == "" || !sameSite(nr.host) {

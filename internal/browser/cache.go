@@ -4,20 +4,65 @@ import (
 	"container/list"
 	"fmt"
 	"net/url"
+	"sync"
 
 	"repro/internal/dom"
 	"repro/internal/html"
+	"repro/internal/webapi"
 	"repro/internal/webscript"
+	"repro/internal/webserver"
 )
+
+// Cache holds the revisit fast path's state that no browser configuration
+// changes: the dispatch table compiled scripts intern into, and the LRUs of
+// frozen page templates, parsed and compiled scripts, resolved URLs and
+// cleaned navigation attempts. Browsers with different extension stacks can
+// share one Cache, because extensions act only on instantiated pages and on
+// requests; each browser keeps its own fetcher, extensions and pools. A
+// Cache is safe for concurrent use.
+type Cache struct {
+	bindings *webapi.Bindings
+	// dispatch interns the feature references of every script the
+	// cache's browsers compile; executionHost indexes its published slice
+	// per op.
+	dispatch *webapi.DispatchTable
+
+	mu        sync.Mutex
+	scripts   *lruCache[*cachedScript]
+	templates *lruCache[*domTemplate]
+	// resolved memoizes resolveURL outcomes (key: page URL + ref) and
+	// navClean the parse+clean of recorded navigation attempts — the two
+	// url.Parse hot spots the revisit workload repeats endlessly.
+	resolved *lruCache[string]
+	navClean *lruCache[navResolved]
+}
+
+// NewCache creates an empty cache over the bindings.
+func NewCache(b *webapi.Bindings) *Cache {
+	return &Cache{
+		bindings:  b,
+		dispatch:  b.NewDispatchTable(),
+		scripts:   newLRUCache[*cachedScript](scriptCacheCap),
+		templates: newLRUCache[*domTemplate](templateCacheCap),
+		resolved:  newLRUCache[string](resolveCacheCap),
+		navClean:  newLRUCache[navResolved](resolveCacheCap),
+	}
+}
+
+// NewBrowser creates a browser profile over the cache's bindings that
+// draws on the cache.
+func (c *Cache) NewBrowser(f webserver.Fetcher, exts ...Extension) *Browser {
+	return &Browser{Bindings: c.bindings, Fetcher: f, Extensions: exts, cache: c}
+}
 
 // scriptCacheCap bounds the parsed-script cache (external and inline
 // entries); site visits are processed consecutively, so locality is high.
 const scriptCacheCap = 4096
 
 // templateCacheCap bounds the parsed-DOM template cache. Templates are only
-// useful while a site's rounds are in flight (a site rarely has more than a
-// few dozen distinct pages), so the cap mostly bounds memory across the
-// site→site transition.
+// useful while a site's cases and rounds are in flight (a site rarely has
+// more than a few dozen distinct pages), so the cap mostly bounds memory
+// across the site→site transition.
 const templateCacheCap = 256
 
 // resolveCacheCap bounds the URL-resolution memo caches (resolveURL results
@@ -86,8 +131,9 @@ type compiledSel struct {
 
 // cachedScript is one parse outcome in the script cache, with every handler
 // selector precompiled (aligned with script.Handlers) and — unless the
-// browser has DisableScriptCompile set — the script lowered once to compiled
-// ops whose feature references are interned in the browser's dispatch table.
+// inserting browser has DisableScriptCompile set — the script lowered once
+// to compiled ops whose feature references are interned in the cache's
+// dispatch table.
 type cachedScript struct {
 	script   *webscript.Script
 	compiled *webscript.Compiled // nil = execute via the interpreter
@@ -96,7 +142,7 @@ type cachedScript struct {
 }
 
 // newCachedScript parses source text, precompiles handler selectors, and
-// compiles the script against the browser's dispatch table. Everything
+// compiles the script against the cache's dispatch table. Everything
 // per-execution code needs is derived here, once per cache insert.
 func (b *Browser) newCachedScript(src string) *cachedScript {
 	cs := &cachedScript{}
@@ -106,7 +152,7 @@ func (b *Browser) newCachedScript(src string) *cachedScript {
 	}
 	cs.sels = compileSelectors(cs.script)
 	if !b.DisableScriptCompile {
-		cs.compiled = webscript.Compile(cs.script, b.dispatch)
+		cs.compiled = webscript.Compile(cs.script, b.cache.dispatch)
 	}
 	return cs
 }
@@ -146,9 +192,10 @@ type domTemplate struct {
 // the first visit. Fetch and parse errors are not cached: a failed document
 // load is fatal to the visit and the retry cost is irrelevant.
 func (b *Browser) template(rawURL string) (*domTemplate, error) {
-	b.cacheMu.Lock()
-	t, ok := b.templates.get(rawURL)
-	b.cacheMu.Unlock()
+	c := b.cache
+	c.mu.Lock()
+	t, ok := c.templates.get(rawURL)
+	c.mu.Unlock()
 	if ok {
 		return t, nil
 	}
@@ -160,9 +207,9 @@ func (b *Browser) template(rawURL string) (*domTemplate, error) {
 	t = &domTemplate{url: u, scripts: collectScripts(doc, u)}
 	t.tpl = dom.NewTemplate(doc) // freezes doc; must be the last use of it
 
-	b.cacheMu.Lock()
-	b.templates.put(rawURL, t)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.templates.put(rawURL, t)
+	c.mu.Unlock()
 	return t, nil
 }
 
@@ -266,16 +313,17 @@ func fastRefPath(ref string) bool {
 // misses may build twice and last-put wins, which is harmless (entries for
 // one key are interchangeable).
 func (b *Browser) cachedScriptFor(key string, build func() *cachedScript) *cachedScript {
-	b.cacheMu.Lock()
-	cs, ok := b.scripts.get(key)
-	b.cacheMu.Unlock()
+	c := b.cache
+	c.mu.Lock()
+	cs, ok := c.scripts.get(key)
+	c.mu.Unlock()
 	if ok {
 		return cs
 	}
 	cs = build()
-	b.cacheMu.Lock()
-	b.scripts.put(key, cs)
-	b.cacheMu.Unlock()
+	c.mu.Lock()
+	c.scripts.put(key, cs)
+	c.mu.Unlock()
 	return cs
 }
 

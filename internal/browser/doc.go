@@ -12,30 +12,46 @@
 // # The revisit fast path
 //
 // The survey loads every page of every site once per case per round, so the
-// same URL is loaded dozens of times per browser. Load is built around that
-// revisit pattern; three mechanisms (all per-Browser, all bypassed when
-// DisableReuse is set) make a repeat load allocate almost nothing:
+// same URL is loaded dozens of times per worker, by one browser per
+// configuration. Load is built around that revisit pattern; the mechanisms
+// below (all bypassed when DisableReuse is set) make a repeat load allocate
+// almost nothing.
 //
-//   - DOM template cache. The first load of a URL parses the document once
-//     into a frozen dom.Template; every load — including the first — then
-//     arena-clones the template (two slab allocations per page, attribute
-//     maps shared copy-on-write) instead of re-fetching and re-parsing.
-//     Clones are fully independent: mutating one page's tree, Hidden flags,
-//     or attributes never leaks into the template or another page.
+// They split by what they depend on. What no configuration changes lives in
+// a Cache: frozen page templates, parsed and compiled scripts, the
+// webapi.DispatchTable those scripts intern into, and the URL-resolution
+// memos. Browsers with different extension stacks can share one Cache
+// (Cache.NewBrowser), because extensions act only on instantiated pages and
+// on requests, never on what the cache holds. What a configuration does
+// change stays on the Browser: its fetcher, its extensions, and its page
+// and runtime pools, whose pooled runtimes carry that browser's extension
+// shims and so must never cross to another configuration. The crawler
+// shares one cache among the browsers of a survey worker, so a document or
+// script is fetched, parsed and compiled once however many configurations
+// visit it, and memory holds one set of LRUs per worker, not one per
+// configuration. New builds a browser with a private cache.
+//
+//   - DOM template cache (Cache). The first load of a URL parses the
+//     document once into a frozen dom.Template; every load — including the
+//     first — then arena-clones the template (two slab allocations per page,
+//     attribute maps shared copy-on-write) instead of re-fetching and
+//     re-parsing. Clones are fully independent: mutating one page's tree,
+//     Hidden flags, or attributes never leaks into the template or another
+//     page, in this configuration or any other sharing the cache.
 //     Templates and parsed scripts live in LRU caches, so a hot cross-site
 //     script is never dropped mid-survey.
 //
-//   - Page/Runtime pooling. Browser.Release(page) returns a finished page
-//     and its webapi.Runtime to per-Browser sync.Pools. The page is reset
-//     field by field (slices keep their capacity); the runtime keeps its
-//     patches and watchpoints but zeroes its per-page counters
-//     (webapi.Runtime.ResetCounts), so the next load skips re-shimming the
-//     whole corpus. Release is safe once the caller has drained everything
-//     it needs from the page (measurer counts taken, navigation attempts
-//     copied out); after Release the page must not be touched or Released
-//     again — like any pooled object, a stale second Release is only
-//     harmless while the page has not been reissued by a Load. Releasing
-//     nil or a page of another browser is a no-op.
+//   - Page/Runtime pooling (Browser). Browser.Release(page) returns a
+//     finished page and its webapi.Runtime to the browser's sync.Pools. The
+//     page is reset field by field (slices keep their capacity); the
+//     runtime keeps its patches and watchpoints but zeroes its per-page
+//     counters (webapi.Runtime.ResetCounts), so the next load skips
+//     re-shimming the whole corpus. Release is safe once the caller has
+//     drained everything it needs from the page (measurer counts taken,
+//     navigation attempts copied out); after Release the page must not be
+//     touched or Released again — like any pooled object, a stale second
+//     Release is only harmless while the page has not been reissued by a
+//     Load. Releasing nil or a page of another browser is a no-op.
 //
 //   - Precompiled selectors. Handler selectors compile once per bound
 //     handler at install time (never per event dispatch), blocking
@@ -43,18 +59,19 @@
 //     caches its Interactive/FormFields lists, invalidated by the DOM's
 //     mutation generation (dom.Node.Gen).
 //
-//   - Compiled script dispatch. Script-cache entries carry the compiled
-//     form of the parsed script (webscript.Compile): every statement's
-//     "Interface.member" reference is interned once into the browser's
-//     webapi.DispatchTable, so executing a statement indexes a published
-//     []webapi.Dispatch — with the feature pointer and any error outcome
-//     precomputed — instead of resolving two map-keyed strings per call.
-//     Immediate code and handler bodies run through webscript.ExecuteOps.
-//     DisableScriptCompile keeps execution on the AST interpreter, the
-//     differential oracle (TestCompiledScriptMatchesInterpreter).
+//   - Compiled script dispatch (Cache). Script-cache entries carry the
+//     compiled form of the parsed script (webscript.Compile): every
+//     statement's "Interface.member" reference is interned once into the
+//     cache's webapi.DispatchTable, so executing a statement indexes a
+//     published []webapi.Dispatch — with the feature pointer and any error
+//     outcome precomputed — instead of resolving two map-keyed strings per
+//     call. Immediate code and handler bodies run through
+//     webscript.ExecuteOps. DisableScriptCompile keeps execution on the AST
+//     interpreter, the differential oracle
+//     (TestCompiledScriptMatchesInterpreter).
 //
-//   - URL-resolution memos. resolveURL is memoized visit-locally on the
-//     page and across revisits in a browser LRU, and unambiguous
+//   - URL-resolution memos (Cache). resolveURL is memoized visit-locally on
+//     the page and across revisits in a cache LRU, and unambiguous
 //     absolute-path references concatenate onto the page origin without
 //     touching net/url at all (TestResolveAgainstFastPath pins the fast
 //     and slow paths byte for byte).
@@ -65,5 +82,7 @@
 // Page.Runtime must mark it via webapi.Runtime.MarkInstrumented and skip
 // re-instrumenting a runtime it already owns, because pooled runtimes
 // return with shims intact. Both in-tree measurers comply. Survey logs are
-// byte-identical with the fast path on or off (test-enforced).
+// byte-identical with the fast path on or off (test-enforced), and
+// TestSharedCacheIsolatesConfigurations holds browsers sharing a cache to
+// what each sees with a private one.
 package browser

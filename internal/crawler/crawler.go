@@ -73,18 +73,25 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Crawler runs surveys against a synthetic web.
+// Crawler runs surveys against a synthetic web. Every browser it builds,
+// one per NewVisitor and one per HumanVisit, draws on the crawler's one
+// browser.Cache, so a document or script is fetched, parsed and compiled
+// once however many configurations visit it. The survey engine builds one
+// Crawler per worker, so each worker owns one cache.
 type Crawler struct {
 	Web      *synthweb.Web
 	Bindings *webapi.Bindings
-	// NewFetcher builds a fetcher per worker; nil means direct
+	// NewFetcher builds a fetcher per browser; nil means direct
 	// in-process fetching.
 	NewFetcher func() webserver.Fetcher
 	Cfg        Config
 
-	// Parsed blocker state is shared across all visitors: the filter
-	// list and tracker database are immutable once built, so one parse
-	// serves every worker of every shard.
+	cacheOnce sync.Once
+	cache     *browser.Cache
+
+	// Parsed blocker state is shared by every browser of the crawler: the
+	// filter list and tracker database are immutable once built, so one
+	// parse serves all of its visitors.
 	blockersOnce sync.Once
 	abpEngine    *blocking.Engine
 	trackerDB    *blocking.TrackerDB
@@ -171,8 +178,9 @@ func VisitSeed(base int64, site int, cs measure.Case, round int) int64 {
 }
 
 // Visitor crawls sites under one browser configuration. A Visitor owns one
-// browser (and its script cache) and must be used from a single goroutine;
-// create one per worker via NewVisitor.
+// browser, with its extensions and pools, whose cache it shares with the
+// crawler's other browsers. It must be used from a single goroutine; create
+// one per configuration via NewVisitor.
 type Visitor struct {
 	crawler  *Crawler
 	cfg      Config
@@ -205,19 +213,28 @@ func (c *Crawler) NewVisitor(cs measure.Case) (*Visitor, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &Visitor{
+		crawler:  c,
+		cfg:      c.Cfg,
+		browser:  c.newBrowser(exts...),
+		measurer: m,
+	}, nil
+}
+
+// newBrowser builds a browser on the crawler's cache with its own fetcher
+// and the given extensions. Every browser of the crawler takes its reuse
+// and compile switches from the one Config, so the browsers sharing the
+// cache agree on them.
+func (c *Crawler) newBrowser(exts ...browser.Extension) *browser.Browser {
+	c.cacheOnce.Do(func() { c.cache = browser.NewCache(c.Bindings) })
 	fetcher := webserver.Fetcher(webserver.DirectFetcher{Web: c.Web})
 	if c.NewFetcher != nil {
 		fetcher = c.NewFetcher()
 	}
-	b := browser.New(c.Bindings, fetcher, exts...)
+	b := c.cache.NewBrowser(fetcher, exts...)
 	b.DisableReuse = c.Cfg.DisableBrowserReuse
 	b.DisableScriptCompile = c.Cfg.DisableScriptCompile
-	return &Visitor{
-		crawler:  c,
-		cfg:      c.Cfg,
-		browser:  b,
-		measurer: m,
-	}, nil
+	return b
 }
 
 // ensureScratch builds the interned per-visit state on first use (lazily,
@@ -448,14 +465,12 @@ func dirPattern(rawURL string) string {
 // HumanVisit emulates the paper's external-validation protocol (§6.2): 90
 // seconds of casual browsing across three pages — reading (scrolling and
 // pointer movement), one search-box entry, and following one prominent
-// link per page. It returns the features observed.
+// link per page. It returns the features observed. Its browser draws on the
+// crawler's cache, so every site of one protocol run shares one dispatch
+// table and one set of LRUs.
 func (c *Crawler) HumanVisit(site *synthweb.Site, seed int64) (map[int]int64, error) {
 	m := extension.NewMeasurer()
-	fetcher := webserver.Fetcher(webserver.DirectFetcher{Web: c.Web})
-	if c.NewFetcher != nil {
-		fetcher = c.NewFetcher()
-	}
-	b := browser.New(c.Bindings, fetcher, m)
+	b := c.newBrowser(m)
 	_ = seed // the human protocol is deterministic; seed kept for symmetry
 
 	counts := make(map[int]int64)

@@ -11,11 +11,19 @@
 // The package holds the single-visit mechanics and leaves scheduling to
 // internal/pipeline, the one survey engine. Visitor (via
 // Crawler.NewVisitor) builds the browser stack for one configuration and
-// performs monkey-tested, BFS-sampled visits; the engine drives one Visitor
-// per configuration on each of its workers. Per-visit randomness comes only
-// from VisitSeed, so a visit's outcome does not depend on which worker, or
-// which scheduler, performs it.
+// performs monkey-tested, BFS-sampled visits; the engine builds one Crawler
+// per worker and drives one Visitor per configuration on it. Per-visit
+// randomness comes only from VisitSeed, so a visit's outcome does not
+// depend on which worker, or which scheduler, performs it.
+//
+// A Crawler owns one browser.Cache, and every browser it builds draws on
+// it: page templates, compiled scripts and the dispatch table are shared
+// by all its configurations, while each browser keeps its own extensions,
+// extension shims and page and runtime pools. A Crawler per worker
+// therefore means one cache per worker, one set of LRUs for all of the
+// worker's configurations, and one parse of the blocker lists per worker.
 //
 // Crawler.HumanVisit implements the paper's external-validation protocol
-// (§6.2): 90 seconds of scripted casual browsing across three pages.
+// (§6.2): 90 seconds of scripted casual browsing across three pages, on
+// the crawler's cache like every other browser of the crawler.
 package crawler

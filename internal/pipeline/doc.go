@@ -10,10 +10,14 @@
 //
 // The sharder partitions sites round-robin into Shards bounded queues.
 // Each shard runs WorkersPerShard browser workers; a worker owns one
-// instrumented browser per configuration (reusing its script cache across
-// sites) and folds completed visits into the lock-striped mergeable
-// aggregate of internal/stats in batches of BatchSize — one stripe-lock
-// acquisition per stripe per batch. Because a site is crawled end to end
+// crawler, with one instrumented browser per configuration, and folds
+// completed visits into the lock-striped mergeable aggregate of
+// internal/stats in batches of BatchSize — one stripe-lock acquisition per
+// stripe per batch. The worker's browsers keep their own extensions and
+// page and runtime pools but share the crawler's browser.Cache, so each
+// page and script the worker meets is fetched, parsed and compiled once
+// for every configuration, and memory holds one set of cache LRUs per
+// worker rather than one per configuration. Because a site is crawled end to end
 // by one worker, the site's visits, failures, and end-of-site fold are
 // naturally ordered; different sites synchronize only on stripe locks.
 // All queues are bounded, giving natural back-pressure, and a

@@ -114,8 +114,8 @@ func (cfg Config) normalized() Config {
 type Engine struct {
 	Web      *synthweb.Web
 	Bindings *webapi.Bindings
-	// NewFetcher builds a fetcher per worker; nil means direct
-	// in-process fetching.
+	// NewFetcher builds a fetcher per browser, one per configuration on
+	// each worker; nil means direct in-process fetching.
 	NewFetcher func() webserver.Fetcher
 	Cfg        Config
 }
@@ -160,11 +160,6 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	if cfg.Crawl.Rounds <= 0 || cfg.Crawl.Branch <= 0 {
 		return nil, fmt.Errorf("pipeline: invalid crawl config %+v", cfg.Crawl)
 	}
-
-	// The crawler supplies the per-visit mechanics (browser stacks,
-	// monkey testing, BFS sampling); the engine owns all scheduling.
-	cr := crawler.New(e.Web, e.Bindings, cfg.Crawl)
-	cr.NewFetcher = e.NewFetcher
 
 	domains := make([]string, len(e.Web.Sites))
 	for i, s := range e.Web.Sites {
@@ -289,7 +284,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			crawlWG.Add(1)
 			go func(queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) {
 				defer crawlWG.Done()
-				if err := e.crawlWorker(ctx, cr, cfg, numFeatures, queue, agg, spill); err != nil {
+				if err := e.crawlWorker(ctx, cfg, numFeatures, queue, agg, spill); err != nil {
 					errOnce.Do(func() { runErr = err })
 				}
 			}(shardQueues[s], aggs[s], spills[s])
@@ -363,16 +358,25 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// crawlWorker drains one shard queue. For each site it runs every
-// configured case for every round: a failed visit marks the site
-// unmeasurable and skips the case's remaining rounds, but other cases still
-// run. Completed visits accumulate into a
-// batch that is folded into the shard's aggregate — and, when the shard
-// spills, flushed to its spill writer — every BatchSize observations. When
-// a site's last case finishes, a site-end event rides the same batch, so
-// the aggregate retires the site's accumulator and spill readers can do
-// the same.
-func (e *Engine) crawlWorker(ctx context.Context, cr *crawler.Crawler, cfg Config, numFeatures int, queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) error {
+// crawlWorker drains one shard queue. The crawler supplies the per-visit
+// mechanics (browser stacks, monkey testing, BFS sampling) and the engine
+// all scheduling. Each worker builds its own crawler, so its visitors, one
+// per configuration with their own extensions and pools, share one
+// browser cache that no other worker touches: every page and script the
+// worker meets is fetched, parsed and compiled once, not once per
+// configuration, and memory holds one set of cache LRUs per worker.
+//
+// For each site it runs every configured case for every round: a failed
+// visit marks the site unmeasurable and skips the case's remaining rounds,
+// but other cases still run. Completed visits accumulate into a batch that
+// is folded into the shard's aggregate — and, when the shard spills,
+// flushed to its spill writer — every BatchSize observations. When a
+// site's last case finishes, a site-end event rides the same batch, so the
+// aggregate retires the site's accumulator and spill readers can do the
+// same.
+func (e *Engine) crawlWorker(ctx context.Context, cfg Config, numFeatures int, queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) error {
+	cr := crawler.New(e.Web, e.Bindings, cfg.Crawl)
+	cr.NewFetcher = e.NewFetcher
 	visitors := make(map[measure.Case]*crawler.Visitor, len(cfg.Crawl.Cases))
 	for _, cs := range cfg.Crawl.Cases {
 		v, err := cr.NewVisitor(cs)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/synthweb"
 	"repro/internal/webapi"
 	"repro/internal/webidl"
+	"repro/internal/webserver"
 )
 
 // Shared small study: 90 sites, full methodology, fixed seed. The baseline is
@@ -202,6 +204,60 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 			t.Errorf("sharded ablated stats = %+v, want %+v", *res.Stats, *baseStats)
 		}
 	})
+}
+
+// fetchCounter counts the successful fetches of a run by URL, across every
+// fetcher the run builds.
+type fetchCounter struct {
+	inner webserver.Fetcher
+	mu    sync.Mutex
+	n     map[string]int
+}
+
+func (c *fetchCounter) Fetch(rawURL string) (synthweb.Resource, error) {
+	res, err := c.inner.Fetch(rawURL)
+	if err == nil {
+		c.mu.Lock()
+		c.n[rawURL]++
+		c.mu.Unlock()
+	}
+	return res, err
+}
+
+// TestEachURLFetchedOnce pins the per-worker browser cache: a worker's
+// configurations share one cache, each site belongs to one worker, and the
+// synthetic web's third-party tags are per site, so no URL that fetched
+// successfully is fetched twice in a run, however many configurations and
+// rounds visit it.
+func TestEachURLFetchedOnce(t *testing.T) {
+	setup(t)
+	for _, g := range []struct{ shards, workers int }{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", g.shards, g.workers), func(t *testing.T) {
+			c := &fetchCounter{inner: webserver.DirectFetcher{Web: testWeb}, n: map[string]int{}}
+			eng := New(testWeb, testBind, Config{Shards: g.shards, WorkersPerShard: g.workers, Crawl: testCrawlConfig()})
+			eng.NewFetcher = func() webserver.Fetcher { return c }
+			res, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(csvBytes(t, res.Log), csvBytes(t, baseLog)) {
+				t.Error("log differs from the 1x1 baseline")
+			}
+			if len(c.n) == 0 {
+				t.Fatal("the run fetched nothing through its fetchers")
+			}
+			var again []string
+			for u, n := range c.n {
+				if n > 1 {
+					again = append(again, fmt.Sprintf("%s (%d times)", u, n))
+				}
+			}
+			slices.Sort(again)
+			if len(again) > 0 {
+				t.Errorf("%d of %d fetched URLs were fetched more than once, first %s", len(again), len(c.n), again[0])
+			}
+		})
+	}
 }
 
 // TestBlockerParseErrorFailsSurvey pins what a malformed filter list or
