@@ -85,7 +85,9 @@ type Page struct {
 	// URL is the page's resolved location. On the fast path it is shared
 	// read-only with every other load of the same URL; do not mutate.
 	URL *url.URL
-	// DOM is the parsed document.
+	// DOM is the parsed document. Its nodes live in the page's slabs: after
+	// Release, a later Load overwrites them with its own document, so no
+	// node of it may be kept past Release.
 	DOM *dom.Node
 	// Runtime is the page's Web API dispatch state.
 	Runtime *webapi.Runtime
@@ -106,6 +108,7 @@ type Page struct {
 	BlockedRequests []string
 
 	browser  *Browser
+	slabs    dom.Slabs         // DOM's storage, kept through Release for the next Load
 	urlStr   string            // the raw URL Load received; memo key for resolveURL
 	resolved map[string]string // visit-local resolveURL memo; cleared on reset
 	host     executionHost     // reusable script host; avoids boxing per block
@@ -220,8 +223,10 @@ func (p *Page) Host() string { return p.URL.Hostname() }
 //
 // Repeat loads of a URL take the fast path: the document comes from the
 // template cache as an arena clone (no fetch, no parse) and the page and
-// runtime structures are recycled from the pools Release feeds. Pass the
-// finished page to Release to keep the cycle going.
+// runtime structures are recycled from the pools Release feeds. A recycled
+// page clones the document into the node slabs of its released one when
+// they are large enough. Pass the finished page to Release to keep the
+// cycle going.
 func (b *Browser) Load(rawURL string) (*Page, error) {
 	if b.DisableReuse {
 		return b.loadSlow(rawURL)
@@ -232,7 +237,7 @@ func (b *Browser) Load(rawURL string) (*Page, error) {
 	}
 	page := b.newPage()
 	page.URL = t.url
-	page.DOM = t.tpl.Instantiate()
+	page.DOM = t.tpl.InstantiateInto(&page.slabs)
 	page.Runtime = b.newRuntime()
 	page.browser = b
 	page.urlStr = rawURL
@@ -332,8 +337,10 @@ func (b *Browser) newRuntime() *webapi.Runtime {
 // counts taken, navigation attempts copied); the page must not be used —
 // or Released again — afterwards, exactly like any pooled object after
 // Put (a second Release is only harmless while the page has not been
-// reissued by a Load). Releasing nil, a page belonging to another browser,
-// or a page under DisableReuse is a no-op.
+// reissued by a Load). That includes the page's DOM: the pooled page keeps
+// the DOM's node slabs, and a later Load overwrites the released nodes
+// with its own document. Releasing nil, a page belonging to another
+// browser, or a page under DisableReuse is a no-op.
 func (b *Browser) Release(p *Page) {
 	if p == nil || p.browser != b || b.DisableReuse {
 		return
@@ -350,7 +357,8 @@ func (b *Browser) Release(p *Page) {
 	}
 }
 
-// reset clears a page for pooling, keeping slice capacity.
+// reset clears a page for pooling, keeping slice capacity and the DOM's
+// slabs.
 func (p *Page) reset() {
 	p.URL = nil
 	p.DOM = nil
@@ -369,9 +377,10 @@ func (p *Page) reset() {
 	}
 	p.handlers = p.handlers[:0]
 	// Zero the element pointers over the full capacity, not just the
-	// lengths: a pooled page must not pin the released page's DOM slab,
-	// and a post-mutation rebuild may have left the lists shorter than
-	// the backing arrays.
+	// lengths: a post-mutation rebuild may have left the lists shorter
+	// than the backing arrays, and a pooled page must pin no node outside
+	// its slabs — one a mutation appended, or a slab the next Load
+	// outgrows and replaces.
 	clear(p.interactive[:cap(p.interactive)])
 	p.interactive = p.interactive[:0]
 	clear(p.formFields[:cap(p.formFields)])
@@ -638,8 +647,9 @@ func (b *BlockingExtension) OnDOMReady(p *Page) {
 		}
 	}
 	// Zero the scratch over its full capacity (earlier selectors may have
-	// matched more nodes than the last) so it never pins a released
-	// page's DOM slab.
+	// matched more nodes than the last) so it never pins a page's DOM
+	// slab: the extension outlives the page, which its pool may drop or
+	// whose slab a later Load may replace.
 	clear(b.matches[:cap(b.matches)])
 	b.matches = b.matches[:0]
 }

@@ -15,7 +15,7 @@
 // same URL is loaded dozens of times per worker, by one browser per
 // configuration. Load is built around that revisit pattern; the mechanisms
 // below (all bypassed when DisableReuse is set) make a repeat load allocate
-// almost nothing.
+// nothing that grows with the page.
 //
 // They split by what they depend on. What no configuration changes lives in
 // a Cache: frozen page templates, parsed and compiled scripts, the
@@ -33,25 +33,32 @@
 //
 //   - DOM template cache (Cache). The first load of a URL parses the
 //     document once into a frozen dom.Template; every load — including the
-//     first — then arena-clones the template (two slab allocations per page,
-//     attribute maps shared copy-on-write) instead of re-fetching and
-//     re-parsing. Clones are fully independent: mutating one page's tree,
-//     Hidden flags, or attributes never leaks into the template or another
-//     page, in this configuration or any other sharing the cache.
+//     first — then arena-clones the template (all nodes into one slab, all
+//     child slices into a second, attribute maps shared copy-on-write)
+//     instead of re-fetching and re-parsing. Clones are fully independent:
+//     mutating one page's tree, Hidden flags, or attributes never leaks
+//     into the template, another page, or the next page cloned into its
+//     slabs, in this configuration or any other sharing the cache.
 //     Templates and parsed scripts live in LRU caches, so a hot cross-site
 //     script is never dropped mid-survey.
 //
 //   - Page/Runtime pooling (Browser). Browser.Release(page) returns a
 //     finished page and its webapi.Runtime to the browser's sync.Pools. The
-//     page is reset field by field (slices keep their capacity); the
-//     runtime keeps its patches and watchpoints but zeroes its per-page
-//     counters (webapi.Runtime.ResetCounts), so the next load skips
-//     re-shimming the whole corpus. Release is safe once the caller has
-//     drained everything it needs from the page (measurer counts taken,
-//     navigation attempts copied out); after Release the page must not be
-//     touched or Released again — like any pooled object, a stale second
-//     Release is only harmless while the page has not been reissued by a
-//     Load. Releasing nil or a page of another browser is a no-op.
+//     page is reset field by field (slices keep their capacity) but keeps
+//     its DOM's node slabs: the next load of the pooled page clones its
+//     document into them when they are large enough
+//     (dom.Template.InstantiateInto), so a warm load allocates nothing
+//     that grows with the page. The runtime keeps its patches and
+//     watchpoints but zeroes its per-page counters
+//     (webapi.Runtime.ResetCounts), so the next load skips re-shimming the
+//     whole corpus. Release is safe once the caller has drained everything
+//     it needs from the page (measurer counts taken, navigation attempts
+//     copied out); after Release the page must not be touched or Released
+//     again — like any pooled object, a stale second Release is only
+//     harmless while the page has not been reissued by a Load. The same
+//     holds for its DOM: Release ends the lifetime of every node, which a
+//     later Load overwrites. Releasing nil or a page of another browser is
+//     a no-op.
 //
 //   - Precompiled selectors. Handler selectors compile once per bound
 //     handler at install time (never per event dispatch), blocking

@@ -193,6 +193,7 @@ type Visitor struct {
 	// scheduler-side allocation profile (see internal/pipeline
 	// benchmarks). Reuse is safe because a Visitor is single-goroutine.
 	horde      *gremlins.Horde
+	rng        *rand.Rand // reseeded per visit: a fresh source is 4.9 KB
 	counts     map[int]int64
 	visited    map[string]bool
 	seenDirs   map[string]bool
@@ -250,6 +251,7 @@ func (w *Visitor) ensureScratch() {
 			Seconds:          w.cfg.PageSeconds,
 			ActionsPerSecond: w.cfg.ActionsPerSecond,
 		}
+		w.rng = rand.New(rand.NewSource(0))
 		w.counts = make(map[int]int64)
 		w.visited = make(map[string]bool)
 		w.seenDirs = make(map[string]bool)
@@ -271,8 +273,11 @@ func (w *Visitor) ensureScratch() {
 // counts past that point must copy them. The survey engine converts the map
 // to a bitset before the next visit.
 func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int, error) {
-	rng := rand.New(rand.NewSource(seed))
 	w.ensureScratch()
+	// Seed restarts the stream exactly as a fresh rand.NewSource(seed)
+	// would, without allocating one.
+	rng := w.rng
+	rng.Seed(seed)
 	horde := w.horde
 
 	sameSite := func(host string) bool {

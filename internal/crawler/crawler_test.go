@@ -2,6 +2,8 @@ package crawler_test
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -367,5 +369,58 @@ func TestCredentialedCrawlSeesClosedWeb(t *testing.T) {
 	closed := run(true)
 	if closed == 0 {
 		t.Error("credentialed crawl observed no closed-web features (paper §7.3 mode)")
+	}
+}
+
+// TestCrawlOnceIndependentOfHistory crawls sites in turn, two rounds each,
+// on one visitor per case, and each visit again on a fresh crawler's
+// visitor. Counts, pages and errors must match: nothing an earlier visit
+// leaves in the visitor (its reseeded generator, its recycled pages and
+// their DOM slabs, its scratch maps) may reach a later one.
+func TestCrawlOnceIndependentOfHistory(t *testing.T) {
+	web, _, _ := runSurvey(t)
+	bind := webapi.NewBindings(web.Registry)
+	cfg := crawler.DefaultConfig(11)
+	// The first twelve sites, then up to four that fail, interleaved so
+	// healthy visits follow failed ones.
+	var sites, failing []*synthweb.Site
+	for _, s := range web.Sites {
+		if s.Failure != synthweb.FailNone && len(failing) < 4 {
+			failing = append(failing, s)
+		}
+	}
+	if len(failing) == 0 {
+		t.Fatal("the survey's web has no failing site")
+	}
+	for i, s := range web.Sites[:12] {
+		sites = append(sites, s)
+		if i%3 == 0 && len(failing) > 0 {
+			sites, failing = append(sites, failing[0]), failing[1:]
+		}
+	}
+	for _, cs := range []measure.Case{measure.CaseDefault, measure.CaseBlocking} {
+		used, err := crawler.New(web, bind, cfg).NewVisitor(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sites {
+			for round := 0; round < 2; round++ {
+				seed := crawler.VisitSeed(cfg.Seed, s.Index, cs, round)
+				counts, pages, err := used.CrawlOnce(s, seed)
+				counts = maps.Clone(counts)
+				fresh, ferr := crawler.New(web, bind, cfg).NewVisitor(cs)
+				if ferr != nil {
+					t.Fatal(ferr)
+				}
+				wantCounts, wantPages, wantErr := fresh.CrawlOnce(s, seed)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s %s round %d: error %v, fresh visitor %v", cs, s.Domain, round, err, wantErr)
+				}
+				if pages != wantPages || !maps.Equal(counts, wantCounts) {
+					t.Errorf("%s %s round %d: %d pages and %d features, fresh visitor %d and %d",
+						cs, s.Domain, round, pages, len(counts), wantPages, len(wantCounts))
+				}
+			}
+		}
 	}
 }

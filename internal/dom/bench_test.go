@@ -39,13 +39,24 @@ func BenchmarkClone(b *testing.B) {
 }
 
 // BenchmarkTemplateInstantiate is the arena clone the browser's template
-// cache uses: two slab allocations per clone regardless of page size, with
-// attribute maps shared copy-on-write.
+// cache uses, with attribute maps shared copy-on-write. "fresh" allocates
+// two slabs per clone regardless of page size; "reuse" overwrites the
+// previous clone's slabs, as a warm page load does, and allocates nothing.
 func BenchmarkTemplateInstantiate(b *testing.B) {
 	tpl := NewTemplate(benchTree(120))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tpl.Instantiate()
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tpl.Instantiate()
+		}
+	})
+	b.Run("reuse", func(b *testing.B) {
+		var s Slabs
+		tpl.InstantiateInto(&s)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tpl.InstantiateInto(&s)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
 )
 
 // NodeType distinguishes tree node kinds.
@@ -89,12 +90,25 @@ func (n *Node) SetAttr(name, value string) {
 	n.bumpGen()
 }
 
-// Attr returns the attribute value and whether it is present.
+// Attr returns the attribute value and whether it is present. Names match
+// case-insensitively, as SetAttr stores them lower-cased.
 func (n *Node) Attr(name string) (string, bool) {
-	if len(n.attrs) == 0 {
-		return "", false
+	if v, ok := n.attr(name); ok {
+		return v, true
 	}
-	name = strings.ToLower(name)
+	// Stored names are lower-case (SetAttr folds them), so folding can
+	// only help a name it changes. For the lower-case constants callers
+	// pass, strings.ToLower returns the name itself without allocating.
+	if len(n.attrs) > 0 {
+		if lower := strings.ToLower(name); lower != name {
+			return n.attr(lower)
+		}
+	}
+	return "", false
+}
+
+// attr is Attr without case folding.
+func (n *Node) attr(name string) (string, bool) {
 	for i := range n.attrs {
 		if n.attrs[i].name == name {
 			return n.attrs[i].value, true
@@ -123,19 +137,24 @@ func (n *Node) AttrNames() []string {
 // ID returns the element's id attribute.
 func (n *Node) ID() string { return n.AttrOr("id", "") }
 
-// Classes returns the element's class list.
-func (n *Node) Classes() []string {
-	return strings.Fields(n.AttrOr("class", ""))
-}
-
-// HasClass reports whether the element carries the class.
+// HasClass reports whether the element carries the class: whether it is
+// one of the names strings.Fields would split the class attribute into,
+// found by scanning the attribute in place.
 func (n *Node) HasClass(c string) bool {
-	for _, have := range n.Classes() {
-		if have == c {
-			return true
+	list, _ := n.attr("class")
+	start := -1 // byte offset of the current class name; -1 between names
+	for i, r := range list {
+		switch {
+		case unicode.IsSpace(r):
+			if start >= 0 && list[start:i] == c {
+				return true
+			}
+			start = -1
+		case start < 0:
+			start = i
 		}
 	}
-	return false
+	return start >= 0 && list[start:] == c
 }
 
 // Root returns the topmost ancestor of n (n itself when detached).
@@ -225,7 +244,7 @@ func (n *Node) RemoveChild(child *Node) {
 // Clone deep-copies the subtree rooted at n. The clone is detached. Every
 // node, attribute map, and child slice is allocated individually; for
 // repeated cloning of the same tree, NewTemplate/Instantiate amortizes that
-// cost to a couple of slab allocations per clone.
+// cost to two slab allocations per clone, and InstantiateInto to none.
 func (n *Node) Clone() *Node {
 	cp := &Node{Type: n.Type, Tag: n.Tag, Text: n.Text, Hidden: n.Hidden}
 	if len(n.attrs) > 0 {
@@ -242,13 +261,16 @@ func (n *Node) Clone() *Node {
 // Template is a frozen subtree prepared for cheap repeated cloning: the
 // survey's browser loads the same page dozens of times (cases × rounds),
 // and instantiating a template replaces a full re-parse — or a per-node
-// deep Clone — with two slab allocations.
+// deep Clone — with a copy into two slabs: fresh ones (Instantiate) or,
+// allocating nothing, the Slabs of an earlier clone its owner is done with
+// (InstantiateInto).
 //
 // The wrapped tree is owned by the Template and must not be mutated after
 // NewTemplate; clones share its attribute storage copy-on-write, so
-// Instantiate is safe to call from multiple goroutines concurrently and
-// mutating one clone (structure, Hidden flags, attributes) never leaks
-// into the template or any other clone.
+// Instantiate is safe to call from multiple goroutines concurrently (and
+// InstantiateInto, each goroutine with its own Slabs) and mutating one
+// clone (structure, Hidden flags, attributes) never leaks into the
+// template or any other clone.
 type Template struct {
 	root  *Node
 	nodes int // node count of the subtree
@@ -277,21 +299,52 @@ func (t *Template) Root() *Node { return t.root }
 // NumNodes returns the node count of the frozen subtree.
 func (t *Template) NumNodes() int { return t.nodes }
 
-// Instantiate arena-clones the template: all nodes come from one []Node
-// slab and all child slices are bump-allocated from one []*Node slab, so a
-// clone costs two allocations regardless of page size. Attribute maps are
-// shared with the template copy-on-write (SetAttr on a clone copies first).
+// Instantiate arena-clones the template: all nodes come from one fresh
+// []Node slab and all child slices are bump-allocated from one fresh
+// []*Node slab, so a clone costs two allocations regardless of page size.
+// Attribute maps are shared with the template copy-on-write (SetAttr on a
+// clone copies first).
 func (t *Template) Instantiate() *Node {
+	var s Slabs
+	return t.InstantiateInto(&s)
+}
+
+// Slabs is the storage of one instantiated tree: its node slab and its
+// child-pointer slab. The zero value holds none.
+type Slabs struct {
+	nodes []Node
+	kids  []*Node
+}
+
+// InstantiateInto is Instantiate into recycled storage. A slab of s that is
+// large enough is overwritten with the new tree, every field of every
+// reused node included; a slab that is too small is replaced by a fresh
+// one, which s keeps for next time. So a tree built earlier in s ends
+// here: its nodes become the new tree's, and whoever still holds one sees
+// the new document. Nodes past the new tree's size keep their old
+// contents, unreachable from it.
+func (t *Template) InstantiateInto(s *Slabs) *Node {
 	if t.nodes == 0 {
 		return nil
 	}
-	slab := make([]Node, t.nodes)
-	kidSlab := make([]*Node, t.kids)
+	reuse := len(s.nodes) >= t.nodes
+	if !reuse {
+		s.nodes = make([]Node, t.nodes)
+	}
+	if len(s.kids) < t.kids {
+		s.kids = make([]*Node, t.kids)
+	}
+	slab, kidSlab := s.nodes, s.kids
 	nodeIdx, kidIdx := 0, 0
 	var build func(src, parent *Node) *Node
 	build = func(src, parent *Node) *Node {
 		cp := &slab[nodeIdx]
 		nodeIdx++
+		if reuse {
+			// A fresh slab is zero, so below only the fields the source
+			// sets are written; a recycled node is zeroed first.
+			*cp = Node{}
+		}
 		cp.Type = src.Type
 		cp.Tag = src.Tag
 		cp.Text = src.Text

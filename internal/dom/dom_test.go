@@ -1,6 +1,7 @@
 package dom
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -505,6 +506,85 @@ func TestMatchAllMatchesQuerySelectorAll(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Errorf("MatchAll(%q)[%d] differs", s, i)
+			}
+		}
+	}
+}
+
+// attrByFold is Attr as it was before the exact-name scan: it lower-cases
+// the name on every call. It is the reference for
+// TestAttrLookupsMatchReference.
+func attrByFold(n *Node, name string) (string, bool) {
+	if len(n.attrs) == 0 {
+		return "", false
+	}
+	name = strings.ToLower(name)
+	for i := range n.attrs {
+		if n.attrs[i].name == name {
+			return n.attrs[i].value, true
+		}
+	}
+	return "", false
+}
+
+// hasClassByFields is HasClass as it was before the in-place scan: a
+// search of the class attribute's strings.Fields.
+func hasClassByFields(n *Node, c string) bool {
+	list, _ := attrByFold(n, "class")
+	for _, have := range strings.Fields(list) {
+		if have == c {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAttrLookupsMatchReference holds Attr and HasClass to the folding and
+// splitting references over upper-case, non-ASCII and invalid UTF-8 names
+// and over class lists split by every kind of space strings.Fields knows,
+// U+0085 and U+00A0 included.
+func TestAttrLookupsMatchReference(t *testing.T) {
+	names := []string{
+		"id", "ID", "Id", "class", "CLASS", "data-action", "Data-Action",
+		"\u00e4rger", "\u00c4RGER", // ärger, ÄRGER
+		"k", "K", "\u212a", // Kelvin sign, which lower-cases to k
+		"\u00df", "\u1e9e", // ß and capital ẞ
+		"\u0130d", "i\u0307d", // İd and what it lower-cases to
+		"\u01c5", "\u01c6", "\u03c3", "\u03a3", // ǅ ǆ σ Σ
+		"\xff", "\ufffd", "", // an invalid byte and what folding makes of it
+	}
+	pieces := []string{
+		"a", "B", "wrap", "\u00c4rger", "x\u200by", "\xc2", "\xa0", "\xff",
+		" ", "\t", "\n", "\r", "\v", "\f", "\u0085", "\u00a0", "\u3000", "  ",
+	}
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		var b strings.Builder
+		for k := rng.Intn(5); k >= 0; k-- {
+			b.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 3000; i++ {
+		el := NewElement("div")
+		for k := rng.Intn(4); k > 0; k-- {
+			el.SetAttr(names[rng.Intn(len(names))], word())
+		}
+		classes := word()
+		if rng.Intn(4) > 0 {
+			el.SetAttr("Class", classes)
+		}
+		for _, name := range names {
+			gv, gok := el.Attr(name)
+			wv, wok := attrByFold(el, name)
+			if gv != wv || gok != wok {
+				t.Fatalf("Attr(%q) on %v = %q, %t; reference %q, %t", name, el.attrs, gv, gok, wv, wok)
+			}
+		}
+		queries := append(strings.Fields(classes), "", word(), word())
+		for _, c := range queries {
+			if got, want := el.HasClass(c), hasClassByFields(el, c); got != want {
+				t.Fatalf("HasClass(%q) on class %q = %t; reference %t", c, classes, got, want)
 			}
 		}
 	}

@@ -115,24 +115,30 @@ func (h *Horde) Unleash(p *browser.Page, rng *rand.Rand) Stats {
 	for _, w := range h.Species {
 		totalWeight += w.Weight
 	}
+	// Actions are counted by index into h.Species and named once at the
+	// end, not per action.
+	acted := make([]int, len(h.Species))
 	for t := 0.0; t < h.Seconds; t += step {
 		x := rng.Float64() * totalWeight
-		var chosen Species
-		for _, w := range h.Species {
+		chosen := len(h.Species) - 1
+		for i, w := range h.Species {
 			if x < w.Weight {
-				chosen = w.Species
+				chosen = i
 				break
 			}
 			x -= w.Weight
 		}
-		if chosen == nil {
-			chosen = h.Species[len(h.Species)-1].Species
-		}
-		if chosen.Act(p, rng) {
+		if h.Species[chosen].Species.Act(p, rng) {
 			stats.Actions++
-			stats.PerSpecies[chosen.Name()]++
+			acted[chosen]++
 		}
 		p.AdvanceClock(step)
+	}
+	for i, n := range acted {
+		if n > 0 {
+			// += because two entries may share a species name.
+			stats.PerSpecies[h.Species[i].Species.Name()] += n
+		}
 	}
 	stats.VirtualSeconds = h.Seconds
 	return stats

@@ -2,6 +2,7 @@ package gremlins
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/browser"
@@ -126,5 +127,80 @@ func TestTyperFindsFields(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	if !(Typer{}).Act(page, rng) {
 		t.Fatal("typer found no fields on a generated page (pages carry #q)")
+	}
+}
+
+// idler is a species that never finds anything to do.
+type idler struct{}
+
+func (idler) Name() string                       { return "idler" }
+func (idler) Act(*browser.Page, *rand.Rand) bool { return false }
+
+// unleashByName is Unleash as it counted before counting by species index:
+// a map assignment keyed by Name() per action. It is the reference for
+// TestPerSpeciesMatchesReference.
+func unleashByName(h *Horde, p *browser.Page, rng *rand.Rand) Stats {
+	stats := Stats{PerSpecies: make(map[string]int)}
+	if h.ActionsPerSecond <= 0 || h.Seconds <= 0 || len(h.Species) == 0 {
+		return stats
+	}
+	step := 1.0 / h.ActionsPerSecond
+	var totalWeight float64
+	for _, w := range h.Species {
+		totalWeight += w.Weight
+	}
+	for t := 0.0; t < h.Seconds; t += step {
+		x := rng.Float64() * totalWeight
+		var chosen Species
+		for _, w := range h.Species {
+			if x < w.Weight {
+				chosen = w.Species
+				break
+			}
+			x -= w.Weight
+		}
+		if chosen == nil {
+			chosen = h.Species[len(h.Species)-1].Species
+		}
+		if chosen.Act(p, rng) {
+			stats.Actions++
+			stats.PerSpecies[chosen.Name()]++
+		}
+		p.AdvanceClock(step)
+	}
+	stats.VirtualSeconds = h.Seconds
+	return stats
+}
+
+// TestPerSpeciesMatchesReference holds Unleash's statistics and the page
+// activity it causes to the per-name reference, for hordes with a species
+// that never acts and with two entries of one species.
+func TestPerSpeciesMatchesReference(t *testing.T) {
+	hordes := map[string]*Horde{
+		"default": Default(),
+		"idler-and-duplicate": {
+			Species: []Weighted{
+				{Clicker{}, 0.3},
+				{idler{}, 0.2},
+				{Scroller{}, 0.2},
+				{Clicker{}, 0.3},
+			},
+			Seconds:          60,
+			ActionsPerSecond: 2,
+		},
+		"empty": {},
+	}
+	for name, h := range hordes {
+		for seed := int64(1); seed <= 3; seed++ {
+			p1, p2 := loadPage(t), loadPage(t)
+			got := h.Unleash(p1, rand.New(rand.NewSource(seed)))
+			want := unleashByName(h, p2, rand.New(rand.NewSource(seed)))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s seed %d: Unleash = %+v, reference %+v", name, seed, got, want)
+			}
+			if p1.Clock != p2.Clock || p1.Runtime.TotalNativeCalls() != p2.Runtime.TotalNativeCalls() {
+				t.Errorf("%s seed %d: page activity differs from the reference", name, seed)
+			}
+		}
 	}
 }

@@ -37,8 +37,12 @@ type DispatchTable struct {
 	mu sync.Mutex
 	// ids maps "Interface.member" to the dense ref ID.
 	ids map[string]int
-	// refs is the published dispatch slice; entries are immutable once
-	// published, and every publication is a fresh, grown copy.
+	// all backs the published slices. It grows geometrically under mu,
+	// and only past the published length, so a published entry is never
+	// written again.
+	all []Dispatch
+	// refs is the published dispatch slice, all[:n:n]: capped, so an
+	// append by a reader copies instead of writing into all.
 	refs atomic.Pointer[[]Dispatch]
 }
 
@@ -77,19 +81,17 @@ func (t *DispatchTable) InternRef(iface, member string) int {
 		d.SetErr = fmt.Errorf("webapi: cannot assign to read only property %s", f.Name())
 	}
 
-	old := *t.refs.Load()
-	grown := make([]Dispatch, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = d
-	id := len(old)
+	id := len(t.all)
+	t.all = append(t.all, d)
+	published := t.all[: id+1 : id+1]
 	t.ids[key] = id
-	t.refs.Store(&grown)
+	t.refs.Store(&published)
 	return id
 }
 
 // Refs returns the current dispatch slice: one atomic load, safe to index by
-// any ID interned before the call and valid forever (publication copies,
-// never mutates).
+// any ID interned before the call and valid forever (later interns write
+// only past its end, or into a new backing array).
 func (t *DispatchTable) Refs() []Dispatch {
 	return *t.refs.Load()
 }
