@@ -165,7 +165,8 @@ func (r *Ranking) ByDomain(domain string) (*Site, bool) {
 // considering subdomains and Alexa related-domain data. The paper's crawler
 // uses this to decide which monkey-testing navigations stay "local".
 func (r *Ranking) SameSite(a, b string) bool {
-	return r.primaryOf(a) != "" && r.primaryOf(a) == r.primaryOf(b)
+	pa := r.primaryOf(a)
+	return pa != "" && pa == r.primaryOf(b)
 }
 
 // primaryOf resolves a host to the primary ranked domain it belongs to,

@@ -53,3 +53,24 @@ func TestWarmLoadAllocatesNothingPerNode(t *testing.T) {
 		t.Errorf("a warm load allocates %d B; the page's %d nodes take %d B", perLoad, tpl.tpl.NumNodes(), slab)
 	}
 }
+
+// TestRepeatVisitAllocatesNothing pins BenchmarkLoadRepeatVisit/fastpath's
+// zero allocations: a warm Load, AdvanceClock and Release of a cached URL,
+// with the measurer installed, resolves no URL and builds no request.
+func TestRepeatVisitAllocatesNothing(t *testing.T) {
+	e := env(t)
+	b := e.browser(&benchMeasurer{counts: make(map[int]int64)})
+	url := "http://" + e.site.Domain + "/"
+	cycle := func() {
+		p, err := b.Load(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.AdvanceClock(30)
+		b.Release(p)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("a warm load makes %v allocations", n)
+	}
+}

@@ -109,8 +109,8 @@ type Page struct {
 
 	browser  *Browser
 	slabs    dom.Slabs         // DOM's storage, kept through Release for the next Load
-	urlStr   string            // the raw URL Load received; memo key for resolveURL
-	resolved map[string]string // visit-local resolveURL memo; cleared on reset
+	links    map[string]string // the template's resolved anchors; read-only, nil under DisableReuse
+	resolved map[string]string // resolveURL's memo for other references; cleared on reset
 	host     executionHost     // reusable script host; avoids boxing per block
 	handlers []boundHandler
 
@@ -172,45 +172,23 @@ func (p *Page) runBody(ops []webscript.Op, stmts []webscript.Stmt, origin string
 	}
 }
 
-// resolveURL resolves a possibly relative reference against the page URL,
-// memoized at two levels: a visit-local map on the page (gremlin hordes and
-// timer handlers resolve the same few references thousands of times per
-// visit, lock-free after the first) and the cache's LRU keyed by
-// (page URL, ref), which survives page recycling across the cases × rounds
-// revisits of the same URL.
+// resolveURL resolves a possibly relative reference against the page URL.
+// An anchor's href is found in the template's links, resolved when the
+// template was built; any other reference (a script's navigation target,
+// an href a script rewrote) is resolved once per page and memoized, since
+// gremlin hordes and timer handlers repeat the same few every second.
 func (p *Page) resolveURL(ref string) string {
+	if s, ok := p.links[ref]; ok {
+		return s
+	}
 	if s, ok := p.resolved[ref]; ok {
 		return s
 	}
-	s := p.resolveURLSlow(ref)
+	s := resolveAgainst(p.URL, ref)
 	if p.resolved == nil {
 		p.resolved = make(map[string]string, 8)
 	}
 	p.resolved[ref] = s
-	return s
-}
-
-func (p *Page) resolveURLSlow(ref string) string {
-	b := p.browser
-	if b == nil {
-		return resolveAgainst(p.URL, ref)
-	}
-	if s, ok := fastResolve(p.URL, ref); ok {
-		// Cheaper than the LRU would be; don't spend entries on it.
-		return s
-	}
-	c := b.cache
-	key := p.urlStr + "\x00" + ref
-	c.mu.Lock()
-	s, ok := c.resolved.get(key)
-	c.mu.Unlock()
-	if ok {
-		return s
-	}
-	s = slowResolveAgainst(p.URL, ref)
-	c.mu.Lock()
-	c.resolved.put(key, s)
-	c.mu.Unlock()
 	return s
 }
 
@@ -240,7 +218,7 @@ func (b *Browser) Load(rawURL string) (*Page, error) {
 	page.DOM = t.tpl.InstantiateInto(&page.slabs)
 	page.Runtime = b.newRuntime()
 	page.browser = b
-	page.urlStr = rawURL
+	page.links = t.links
 	b.finishLoad(page, t.scripts)
 	return page, nil
 }
@@ -262,7 +240,6 @@ func (b *Browser) loadSlow(rawURL string) (*Page, error) {
 		DOM:     doc,
 		Runtime: b.Bindings.NewRuntime(),
 		browser: b,
-		urlStr:  rawURL,
 	}
 	b.finishLoad(page, collectScripts(doc, u))
 	return page, nil
@@ -277,9 +254,8 @@ func (b *Browser) finishLoad(page *Page, scripts []templateScript) {
 		ext.OnDOMReady(page)
 	}
 
-	pageHost := page.Host()
 	for _, ref := range scripts {
-		if ref.url == "" {
+		if ref.req.URL == "" {
 			cs := b.inlineScript(ref.inline)
 			if cs.err != nil {
 				page.ScriptErrors = append(page.ScriptErrors, ScriptError{URL: "inline:" + page.URL.String(), Err: cs.err})
@@ -288,26 +264,23 @@ func (b *Browser) finishLoad(page *Page, scripts []templateScript) {
 			page.installScript("inline:"+page.URL.String(), cs)
 			continue
 		}
-		// MakeRequest precomputes the host/third-party derivations every
-		// blocker in the extension stack needs, once per request.
-		req := blocking.MakeRequest(ref.url, pageHost, blocking.ResourceScript)
 		vetoed := false
 		for _, ext := range b.Extensions {
-			if ext.OnBeforeRequest(req) {
+			if ext.OnBeforeRequest(ref.req) {
 				vetoed = true
 				break
 			}
 		}
 		if vetoed {
-			page.BlockedRequests = append(page.BlockedRequests, ref.url)
+			page.BlockedRequests = append(page.BlockedRequests, ref.req.URL)
 			continue
 		}
-		cs := b.fetchScript(ref.url)
+		cs := b.fetchScript(ref.req.URL)
 		if cs.err != nil {
-			page.ScriptErrors = append(page.ScriptErrors, ScriptError{URL: ref.url, Err: cs.err})
+			page.ScriptErrors = append(page.ScriptErrors, ScriptError{URL: ref.req.URL, Err: cs.err})
 			continue
 		}
-		page.installScript(ref.url, cs)
+		page.installScript(ref.req.URL, cs)
 	}
 
 	// Fire load handlers.
@@ -369,7 +342,7 @@ func (p *Page) reset() {
 	p.ScriptErrors = p.ScriptErrors[:0]
 	p.BlockedRequests = p.BlockedRequests[:0]
 	p.browser = nil
-	p.urlStr = ""
+	p.links = nil
 	clear(p.resolved)
 	p.host = executionHost{}
 	for i := range p.handlers {
@@ -525,64 +498,6 @@ func (p *Page) FormFields() []*dom.Node {
 		p.formFieldsOK = true
 	}
 	return p.formFields
-}
-
-// LocalNavAttempts filters the recorded navigation attempts to those
-// sameSite judges local, deduplicated in first-seen order.
-func (p *Page) LocalNavAttempts(sameSite func(host string) bool) []string {
-	return p.LocalNavAttemptsInto(sameSite, make(map[string]bool), make(map[string]bool), nil)
-}
-
-// navResolved caches what LocalNavAttemptsInto derives from one raw
-// navigation attempt. clean is empty when the raw string does not parse.
-type navResolved struct {
-	clean string
-	host  string
-}
-
-// LocalNavAttemptsInto is LocalNavAttempts with caller-owned scratch: seen
-// and rawSeen are cleared and reused for deduplication, and the result is
-// appended to out (pass out[:0] to reuse its backing array). The crawler
-// calls this once per page with per-Visitor scratch instead of allocating
-// fresh maps and a slice every page. Raw attempts repeat heavily (timer
-// handlers re-navigate the same path every tick), so identical raws are
-// dropped before parsing and parse results are memoized in the cache.
-func (p *Page) LocalNavAttemptsInto(sameSite func(host string) bool, seen, rawSeen map[string]bool, out []string) []string {
-	clear(seen)
-	clear(rawSeen)
-	b := p.browser
-	for _, raw := range p.NavAttempts {
-		if rawSeen[raw] {
-			continue
-		}
-		rawSeen[raw] = true
-		var nr navResolved
-		ok := false
-		if b != nil {
-			b.cache.mu.Lock()
-			nr, ok = b.cache.navClean.get(raw)
-			b.cache.mu.Unlock()
-		}
-		if !ok {
-			if u, err := url.Parse(raw); err == nil {
-				nr = navResolved{clean: u.Scheme + "://" + u.Host + u.Path, host: u.Hostname()}
-			}
-			if b != nil {
-				b.cache.mu.Lock()
-				b.cache.navClean.put(raw, nr)
-				b.cache.mu.Unlock()
-			}
-		}
-		if nr.clean == "" || !sameSite(nr.host) {
-			continue
-		}
-		if seen[nr.clean] {
-			continue
-		}
-		seen[nr.clean] = true
-		out = append(out, nr.clean)
-	}
-	return out
 }
 
 // HasParseErrors reports whether any script failed to parse (the paper's

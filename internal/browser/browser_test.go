@@ -238,35 +238,6 @@ func TestScriptCacheServesRepeatLoads(t *testing.T) {
 	}
 }
 
-func TestLocalNavAttemptsFilterAndDedupe(t *testing.T) {
-	e := env(t)
-	b := e.browser()
-	page, err := b.Load("http://" + e.site.Domain + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range page.DOM.ElementsByTag("a") {
-		page.Click(a)
-		page.Click(a) // duplicate clicks
-	}
-	local := page.LocalNavAttempts(func(host string) bool {
-		return e.web.Ranking.SameSite(host, e.site.Domain)
-	})
-	seen := map[string]bool{}
-	for _, u := range local {
-		if seen[u] {
-			t.Fatalf("duplicate local nav %q", u)
-		}
-		seen[u] = true
-		if strings.Contains(u, "partner-offers") || strings.Contains(u, "adnet-") {
-			t.Fatalf("external URL %q leaked into local navs", u)
-		}
-	}
-	if len(local) == 0 {
-		t.Fatal("no local navs after clicking all anchors")
-	}
-}
-
 func TestNonDocumentLoadFails(t *testing.T) {
 	e := env(t)
 	b := e.browser()

@@ -4,8 +4,10 @@ import (
 	"container/list"
 	"fmt"
 	"net/url"
+	"strings"
 	"sync"
 
+	"repro/internal/blocking"
 	"repro/internal/dom"
 	"repro/internal/html"
 	"repro/internal/webapi"
@@ -15,11 +17,11 @@ import (
 
 // Cache holds the revisit fast path's state that no browser configuration
 // changes: the dispatch table compiled scripts intern into, and the LRUs of
-// frozen page templates, parsed and compiled scripts, resolved URLs and
-// cleaned navigation attempts. Browsers with different extension stacks can
-// share one Cache, because extensions act only on instantiated pages and on
-// requests; each browser keeps its own fetcher, extensions and pools. A
-// Cache is safe for concurrent use.
+// frozen page templates, each with its anchors and script requests resolved,
+// and of parsed and compiled scripts. Browsers with different extension
+// stacks can share one Cache, because extensions act only on instantiated
+// pages and on requests; each browser keeps its own fetcher, extensions and
+// pools. A Cache is safe for concurrent use.
 type Cache struct {
 	bindings *webapi.Bindings
 	// dispatch interns the feature references of every script the
@@ -30,11 +32,6 @@ type Cache struct {
 	mu        sync.Mutex
 	scripts   *lruCache[*cachedScript]
 	templates *lruCache[*domTemplate]
-	// resolved memoizes resolveURL outcomes (key: page URL + ref) and
-	// navClean the parse+clean of recorded navigation attempts — the two
-	// url.Parse hot spots the revisit workload repeats endlessly.
-	resolved *lruCache[string]
-	navClean *lruCache[navResolved]
 }
 
 // NewCache creates an empty cache over the bindings.
@@ -44,8 +41,6 @@ func NewCache(b *webapi.Bindings) *Cache {
 		dispatch:  b.NewDispatchTable(),
 		scripts:   newLRUCache[*cachedScript](scriptCacheCap),
 		templates: newLRUCache[*domTemplate](templateCacheCap),
-		resolved:  newLRUCache[string](resolveCacheCap),
-		navClean:  newLRUCache[navResolved](resolveCacheCap),
 	}
 }
 
@@ -64,11 +59,6 @@ const scriptCacheCap = 4096
 // more than a few dozen distinct pages), so the cap mostly bounds memory
 // across the site→site transition.
 const templateCacheCap = 256
-
-// resolveCacheCap bounds the URL-resolution memo caches (resolveURL results
-// and navigation-attempt cleanups). Entries are small strings; the working
-// set is the distinct references the current site's scripts mention.
-const resolveCacheCap = 8192
 
 // inlineKeyPrefix namespaces inline-script cache keys (keyed by source
 // text) away from URL keys. The byte cannot appear in a fetched URL.
@@ -173,11 +163,12 @@ func compileSelectors(s *webscript.Script) []compiledSel {
 	return sels
 }
 
-// templateScript is one script reference of a cached page template with its
-// src pre-resolved against the page URL (identical for every clone).
+// templateScript is one script reference of a cached page template. An
+// external script's request is built with the template: its src resolved
+// against the page URL, and the page host, are identical for every clone.
 type templateScript struct {
-	url    string // resolved absolute URL; empty for inline scripts
-	inline string // inline source when url is empty
+	req    blocking.Request // req.URL is empty for inline scripts
+	inline string           // inline source when req.URL is empty
 }
 
 // domTemplate is one parsed page in the template cache: the frozen DOM plus
@@ -186,6 +177,10 @@ type domTemplate struct {
 	tpl     *dom.Template
 	url     *url.URL // parsed page URL, shared read-only by all clones
 	scripts []templateScript
+	// links maps every anchor's href in the document to its absolute URL.
+	// Never written once built, it is read without the lock; a click looks
+	// up the anchor's current href, which a script may have rewritten.
+	links map[string]string
 }
 
 // template returns the cached template for a URL, fetching and parsing on
@@ -204,7 +199,12 @@ func (b *Browser) template(rawURL string) (*domTemplate, error) {
 	if err != nil {
 		return nil, err
 	}
-	t = &domTemplate{url: u, scripts: collectScripts(doc, u)}
+	t = &domTemplate{url: u, scripts: collectScripts(doc, u), links: make(map[string]string)}
+	for _, a := range doc.ElementsByTag("a") {
+		if href, ok := a.Attr("href"); ok && href != "" {
+			t.links[href] = resolveAgainst(u, href)
+		}
+	}
 	t.tpl = dom.NewTemplate(doc) // freezes doc; must be the last use of it
 
 	c.mu.Lock()
@@ -233,8 +233,8 @@ func (b *Browser) fetchDocument(rawURL string) (*dom.Node, *url.URL, error) {
 	return doc, u, nil
 }
 
-// collectScripts extracts a document's script references with src URLs
-// resolved, in document order.
+// collectScripts extracts a document's script references in document
+// order, with each external script's request built against the page.
 func collectScripts(doc *dom.Node, base *url.URL) []templateScript {
 	refs := doc.Scripts()
 	if len(refs) == 0 {
@@ -246,7 +246,7 @@ func collectScripts(doc *dom.Node, base *url.URL) []templateScript {
 			out[i].inline = ref.Inline
 			continue
 		}
-		out[i].url = resolveAgainst(base, ref.Src)
+		out[i].req = blocking.MakeRequest(resolveAgainst(base, ref.Src), base.Hostname(), blocking.ResourceScript)
 	}
 	return out
 }
@@ -254,32 +254,44 @@ func collectScripts(doc *dom.Node, base *url.URL) []templateScript {
 // resolveAgainst resolves a possibly relative reference against base.
 // Absolute-path references made of unambiguous bytes — the overwhelming
 // majority of the synthetic web's hrefs and script sources — concatenate
-// onto base's origin directly; everything else takes net/url's full parse,
-// resolve, and re-serialize. TestResolveAgainstFastPath pins the two paths
-// to identical output.
+// onto base's origin directly, and http(s) URLs whose host and path are
+// made of them resolve to themselves; everything else takes net/url's full
+// parse, resolve, and re-serialize. TestResolveAgainstFastPath pins the
+// paths to identical output.
 func resolveAgainst(base *url.URL, ref string) string {
-	if s, ok := fastResolve(base, ref); ok {
-		return s
-	}
-	return slowResolveAgainst(base, ref)
-}
-
-// fastResolve is resolveAgainst's concatenating path, exposed separately so
-// resolveURL can skip the memo LRU entirely when it applies: the concat is
-// cheaper than an LRU hit, let alone the insert churn of a miss.
-func fastResolve(base *url.URL, ref string) (string, bool) {
 	if fastRefPath(ref) && base.Scheme != "" && base.Host != "" && base.Opaque == "" && base.User == nil {
-		return base.Scheme + "://" + base.Host + ref, true
+		return base.Scheme + "://" + base.Host + ref
 	}
-	return "", false
-}
-
-func slowResolveAgainst(base *url.URL, ref string) string {
+	if fastAbsURL(ref) {
+		return ref
+	}
 	u, err := url.Parse(ref)
 	if err != nil {
 		return ref
 	}
 	return base.ResolveReference(u).String()
+}
+
+// fastAbsURL reports whether ref is an http or https URL that net/url
+// resolves to itself against any base: a lower-case scheme, a host of
+// letters, digits, dots and hyphens (so no userinfo or port), and a path
+// fastRefPath accepts.
+func fastAbsURL(ref string) bool {
+	rest, ok := strings.CutPrefix(ref, "http://")
+	if !ok {
+		if rest, ok = strings.CutPrefix(ref, "https://"); !ok {
+			return false
+		}
+	}
+	i := 0
+	for i < len(rest) && (isAlnum(rest[i]) || rest[i] == '.' || rest[i] == '-') {
+		i++
+	}
+	return i > 0 && fastRefPath(rest[i:])
+}
+
+func isAlnum(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
 // fastRefPath reports whether ref is an absolute-path reference that
@@ -293,8 +305,7 @@ func fastRefPath(ref string) bool {
 	}
 	for i := 1; i < len(ref); i++ {
 		switch c := ref[i]; {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '/', c == '-', c == '_', c == '~', c == '=', c == '&', c == '?':
+		case isAlnum(c), c == '/', c == '-', c == '_', c == '~', c == '=', c == '&', c == '?':
 		case c == '.':
 			// Conservatively reject any '.' touching a segment boundary —
 			// that covers "." and ".." segments, which resolve away.

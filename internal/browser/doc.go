@@ -18,9 +18,9 @@
 // nothing that grows with the page.
 //
 // They split by what they depend on. What no configuration changes lives in
-// a Cache: frozen page templates, parsed and compiled scripts, the
-// webapi.DispatchTable those scripts intern into, and the URL-resolution
-// memos. Browsers with different extension stacks can share one Cache
+// a Cache: frozen page templates with their URLs resolved, parsed and
+// compiled scripts, and the webapi.DispatchTable those scripts intern into.
+// Browsers with different extension stacks can share one Cache
 // (Cache.NewBrowser), because extensions act only on instantiated pages and
 // on requests, never on what the cache holds. What a configuration does
 // change stays on the Browser: its fetcher, its extensions, and its page
@@ -77,11 +77,13 @@
 //     interpreter, the differential oracle
 //     (TestCompiledScriptMatchesInterpreter).
 //
-//   - URL-resolution memos (Cache). resolveURL is memoized visit-locally on
-//     the page and across revisits in a cache LRU, and unambiguous
-//     absolute-path references concatenate onto the page origin without
-//     touching net/url at all (TestResolveAgainstFastPath pins the fast
-//     and slow paths byte for byte).
+//   - URLs resolved per template (Cache). A template resolves every anchor
+//     href once, into a read-only map that clicks consult, and builds every
+//     external script's blocking.Request, so a warm load or an anchor
+//     click parses no URL. Other references, such as script navigation
+//     targets or an href a script rewrote, resolve once per page.
+//     Unambiguous references skip net/url (TestResolveAgainstFastPath
+//     pins the fast and slow paths byte for byte).
 //
 // Correctness contract for the fast path: extensions must not structurally
 // add or remove script elements at DOMReady (hiding is fine — script

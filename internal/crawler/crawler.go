@@ -192,18 +192,13 @@ type Visitor struct {
 	// these maps (and the gremlin horde) every visit dominated the
 	// scheduler-side allocation profile (see internal/pipeline
 	// benchmarks). Reuse is safe because a Visitor is single-goroutine.
-	horde      *gremlins.Horde
-	rng        *rand.Rand // reseeded per visit: a fresh source is 4.9 KB
-	counts     map[int]int64
-	visited    map[string]bool
-	seenDirs   map[string]bool
-	pool       []string
-	navSeen    map[string]bool
-	navRawSeen map[string]bool
-	navOut     []string
-	dirPat     map[string]string // memoized dirPattern per candidate URL
-	dirUnseen  []string          // selectURLs partition scratch
-	dirSeen    []string
+	horde  *gremlins.Horde
+	rng    *rand.Rand // reseeded per visit: a fresh source is 4.9 KB
+	counts map[int]int64
+	// urls interns the current site's URLs; the slices below hold its IDs.
+	urls                      urlTable
+	pool, navOut, level, next []int32
+	fresh, unseen, seen       []int32 // selectURLs scratch
 }
 
 // NewVisitor builds a single-goroutine visitor for one browser
@@ -253,11 +248,6 @@ func (w *Visitor) ensureScratch() {
 		}
 		w.rng = rand.New(rand.NewSource(0))
 		w.counts = make(map[int]int64)
-		w.visited = make(map[string]bool)
-		w.seenDirs = make(map[string]bool)
-		w.navSeen = make(map[string]bool)
-		w.navRawSeen = make(map[string]bool)
-		w.dirPat = make(map[string]string)
 	}
 }
 
@@ -279,10 +269,8 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 	rng := w.rng
 	rng.Seed(seed)
 	horde := w.horde
-
-	sameSite := func(host string) bool {
-		return w.crawler.Web.Ranking.SameSite(host, site.Domain)
-	}
+	urls := &w.urls
+	urls.begin(w.crawler.Web.Ranking, site.Domain)
 
 	clear(w.counts)
 	counts := w.counts
@@ -292,10 +280,6 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 		}
 	}
 
-	clear(w.seenDirs)
-	clear(w.visited)
-	seenDirs := w.seenDirs
-	visited := w.visited
 	pages := 0
 
 	// visit loads a URL, monkey-tests it, and returns candidate local
@@ -303,9 +287,11 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 	// interned nav scratch — valid only until the next visit call; every
 	// caller below consumes it (pool add + selection) before revisiting.
 	// The page itself is recycled via Release once its counts are taken.
-	visit := func(rawURL string, isHome bool) ([]string, error) {
+	visit := func(id int32, isHome bool) ([]int32, error) {
+		rawURL := urls.urls[id].url
 		if w.cfg.WithCredentials {
 			rawURL = authenticate(rawURL)
+			id = urls.id(rawURL)
 		}
 		page, err := w.browser.Load(rawURL)
 		if err != nil {
@@ -321,14 +307,13 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 		horde.Unleash(page, rng)
 		merge(w.measurer.Take())
 		pages++
-		visited[rawURL] = true
-		w.navOut = page.LocalNavAttemptsInto(sameSite, w.navSeen, w.navRawSeen, w.navOut[:0])
+		urls.urls[id].visited = true
+		w.navOut = urls.candidates(page.NavAttempts, w.navOut[:0])
 		w.browser.Release(page)
 		return w.navOut, nil
 	}
 
-	home := "http://" + site.Domain + "/"
-	candidates, err := visit(home, true)
+	candidates, err := visit(urls.id("http://"+site.Domain+"/"), true)
 	if err != nil {
 		w.measurer.Take() // drop partial counts
 		return nil, 0, err
@@ -341,21 +326,20 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 	// whenever the site has enough distinct pages.
 	pool := w.pool[:0]
 	defer func() { w.pool = pool[:0] }()
-	addPool := func(cands []string) {
+	addPool := func(cands []int32) {
 		for _, c := range cands {
-			if !visited[c] {
+			if !urls.urls[c].visited {
 				pool = append(pool, c)
 			}
 		}
 	}
-	backfill := func(level []string, want int) []string {
+	backfill := func(level []int32, want int) []int32 {
 		for _, c := range pool {
 			if len(level) >= want {
 				break
 			}
-			if !visited[c] {
-				visited[c] = true
-				seenDirs[dirPattern(c)] = true
+			if !urls.urls[c].visited {
+				urls.take(c)
 				level = append(level, c)
 			}
 		}
@@ -363,77 +347,58 @@ func (w *Visitor) CrawlOnce(site *synthweb.Site, seed int64) (map[int]int64, int
 	}
 	addPool(candidates)
 
-	level := backfill(w.selectURLs(candidates, visited, seenDirs, rng), w.cfg.Branch)
+	level := backfill(w.selectURLs(w.level[:0], candidates, rng), w.cfg.Branch)
 	for depth := 0; depth < 2; depth++ {
-		var next []string
+		next := w.next[:0]
 		for _, u := range level {
 			cands, _ := visit(u, false)
 			addPool(cands)
-			next = append(next, w.selectURLs(cands, visited, seenDirs, rng)...)
+			next = w.selectURLs(next, cands, rng)
 		}
 		if depth == 0 {
 			next = backfill(next, w.cfg.Branch*w.cfg.Branch)
 		}
+		w.level, w.next = next, level
 		level = next
 	}
 	return counts, pages, nil
 }
 
-// selectURLs picks up to Branch URLs from the candidates, preferring URLs
-// whose directory structure has not been seen before (paper §4.3.1).
-func (w *Visitor) selectURLs(candidates []string, visited, seenDirs map[string]bool, rng *rand.Rand) []string {
-	var fresh []string
+// selectURLs appends to dst up to Branch URLs from the candidates,
+// preferring URLs whose directory structure has not been seen before
+// (paper §4.3.1).
+func (w *Visitor) selectURLs(dst, candidates []int32, rng *rand.Rand) []int32 {
+	urls := &w.urls
+	fresh := w.fresh[:0]
 	for _, c := range candidates {
-		if !visited[c] {
+		if !urls.urls[c].visited {
 			fresh = append(fresh, c)
 		}
 	}
+	w.fresh = fresh[:0]
 	rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 	if w.cfg.PathNoveltyPreference {
 		// Stable partition, unseen directory patterns first — the same
-		// order sort.SliceStable on the boolean key produced, at one
-		// memoized pattern lookup per candidate instead of a URL parse
-		// per comparison.
-		unseen, seen := w.dirUnseen[:0], w.dirSeen[:0]
+		// order sort.SliceStable on the boolean key produced.
+		unseen, seen := w.unseen[:0], w.seen[:0]
 		for _, c := range fresh {
-			if seenDirs[w.dirPattern(c)] {
+			if urls.dirSeen[urls.dir(c)] {
 				seen = append(seen, c)
 			} else {
 				unseen = append(unseen, c)
 			}
 		}
 		fresh = append(unseen, seen...)
-		w.dirUnseen, w.dirSeen = unseen[:0], seen[:0]
+		w.unseen, w.seen = unseen[:0], seen[:0]
 	}
-	out := make([]string, 0, w.cfg.Branch)
-	for _, c := range fresh {
-		if len(out) >= w.cfg.Branch {
+	for i, c := range fresh {
+		if i >= w.cfg.Branch {
 			break
 		}
-		out = append(out, c)
-		seenDirs[w.dirPattern(c)] = true
-		visited[c] = true
+		dst = append(dst, c)
+		urls.take(c)
 	}
-	return out
-}
-
-// dirPattern memoizes the package-level dirPattern: the same candidate URLs
-// recur across a site's cases × rounds revisits.
-func (w *Visitor) dirPattern(rawURL string) string {
-	if p, ok := w.dirPat[rawURL]; ok {
-		return p
-	}
-	if w.dirPat == nil {
-		w.dirPat = make(map[string]string)
-	}
-	if len(w.dirPat) > 8192 {
-		// Entries belong to sites long finished; start over rather than
-		// grow without bound across a multi-thousand-site survey.
-		clear(w.dirPat)
-	}
-	p := dirPattern(rawURL)
-	w.dirPat[rawURL] = p
-	return p
+	return dst
 }
 
 // authenticate appends the members-area session token to closed-web URLs
@@ -451,20 +416,6 @@ func authenticate(rawURL string) string {
 	}
 	u.RawQuery += "auth=" + synthweb.SessionToken
 	return u.String()
-}
-
-// dirPattern extracts a URL's directory structure: the path with the final
-// segment dropped.
-func dirPattern(rawURL string) string {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return rawURL
-	}
-	path := u.Path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[:i]
-	}
-	return u.Hostname() + path
 }
 
 // HumanVisit emulates the paper's external-validation protocol (§6.2): 90

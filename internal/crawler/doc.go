@@ -14,7 +14,10 @@
 // performs monkey-tested, BFS-sampled visits; the engine builds one Crawler
 // per worker and drives one Visitor per configuration on it. Per-visit
 // randomness comes only from VisitSeed, so a visit's outcome does not
-// depend on which worker, or which scheduler, performs it.
+// depend on which worker, or which scheduler, performs it. A Visitor keeps
+// a table of the current site's URLs: each URL its visits touch gets a
+// dense ID, its clean form, same-site bit and directory pattern are worked
+// out once per site, and the BFS dedupes and selects on IDs.
 //
 // A Crawler owns one browser.Cache, and every browser it builds draws on
 // it: page templates, compiled scripts and the dispatch table are shared

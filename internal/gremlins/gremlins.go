@@ -72,8 +72,8 @@ type Weighted struct {
 type Stats struct {
 	// Actions is the total number of gremlin actions performed.
 	Actions int
-	// PerSpecies counts actions by species name.
-	PerSpecies map[string]int
+	// PerSpecies counts actions by species, indexed like Horde.Species.
+	PerSpecies []int
 	// VirtualSeconds is the interaction time simulated.
 	VirtualSeconds float64
 }
@@ -106,7 +106,7 @@ func Default() *Horde {
 // Unleash runs the horde against a page, advancing the page's virtual
 // clock as it goes (so timer handlers fire on schedule).
 func (h *Horde) Unleash(p *browser.Page, rng *rand.Rand) Stats {
-	stats := Stats{PerSpecies: make(map[string]int)}
+	var stats Stats
 	if h.ActionsPerSecond <= 0 || h.Seconds <= 0 || len(h.Species) == 0 {
 		return stats
 	}
@@ -115,9 +115,7 @@ func (h *Horde) Unleash(p *browser.Page, rng *rand.Rand) Stats {
 	for _, w := range h.Species {
 		totalWeight += w.Weight
 	}
-	// Actions are counted by index into h.Species and named once at the
-	// end, not per action.
-	acted := make([]int, len(h.Species))
+	stats.PerSpecies = make([]int, len(h.Species))
 	for t := 0.0; t < h.Seconds; t += step {
 		x := rng.Float64() * totalWeight
 		chosen := len(h.Species) - 1
@@ -130,15 +128,9 @@ func (h *Horde) Unleash(p *browser.Page, rng *rand.Rand) Stats {
 		}
 		if h.Species[chosen].Species.Act(p, rng) {
 			stats.Actions++
-			acted[chosen]++
+			stats.PerSpecies[chosen]++
 		}
 		p.AdvanceClock(step)
-	}
-	for i, n := range acted {
-		if n > 0 {
-			// += because two entries may share a species name.
-			stats.PerSpecies[h.Species[i].Species.Name()] += n
-		}
 	}
 	stats.VirtualSeconds = h.Seconds
 	return stats

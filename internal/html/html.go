@@ -182,8 +182,7 @@ func (p *parser) parseOpenTag() error {
 		return nil
 	}
 	if rawTextElements[name] {
-		closer := "</" + name
-		end := strings.Index(strings.ToLower(p.src[p.pos:]), closer)
+		end := rawTextEnd(p.src[p.pos:], name)
 		if end < 0 {
 			return p.errorf("unterminated <%s> element", name)
 		}
@@ -196,6 +195,37 @@ func (p *parser) parseOpenTag() error {
 	}
 	p.stack = append(p.stack, el)
 	return nil
+}
+
+// rawTextEnd returns the offset in s of the first "</" followed by name,
+// which is lower-case, comparing letters ASCII-case-insensitively; -1 if
+// there is none.
+func rawTextEnd(s, name string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+2:]; len(rest) >= len(name) && asciiLowerEqual(rest[:len(name)], name) {
+			return i
+		}
+	}
+}
+
+// asciiLowerEqual reports whether s, with ASCII letters lower-cased, equals
+// lower.
+func asciiLowerEqual(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (p *parser) parseAttrValue(tag string) (string, error) {

@@ -97,6 +97,43 @@ func TestRawTextSwallowsMarkup(t *testing.T) {
 	}
 }
 
+// TestRawTextCloserOffsets holds raw-text content whose lower-case form
+// changes byte length before the closer: the dotted capital I and the
+// Kelvin sign lower-case to runes of other lengths, and an invalid byte to
+// U+FFFD. Content must end exactly at the closer.
+func TestRawTextCloserOffsets(t *testing.T) {
+	for _, body := range []string{"var s=\"\u0130\";", "var s=\"\u212a\";", "var s=\"\xff\";"} {
+		doc, err := Parse("<script>" + body + "</script>")
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		if scripts := doc.Scripts(); len(scripts) != 1 || scripts[0].Inline != body {
+			t.Errorf("<script>%q</script> parsed to %+v", body, scripts)
+		}
+	}
+}
+
+// FuzzRawTextEnd holds the raw-text closer scan to a reference that folds
+// ASCII letters only, which keeps every byte offset.
+func FuzzRawTextEnd(f *testing.F) {
+	for _, s := range []string{"", "x</script>", "a</SCRIPT", "</scrip", "<</STYLE>", "\u0130</Script>", "\u212a</sCRIPT>", "\xff</style", "</</script"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		folded := []byte(s)
+		for i, c := range folded {
+			if 'A' <= c && c <= 'Z' {
+				folded[i] = c + 'a' - 'A'
+			}
+		}
+		for name := range rawTextElements {
+			if got, want := rawTextEnd(s, name), strings.Index(string(folded), "</"+name); got != want {
+				t.Errorf("rawTextEnd(%q, %q) = %d, want %d", s, name, got, want)
+			}
+		}
+	})
+}
+
 func TestCommentsPreserved(t *testing.T) {
 	doc, err := Parse(`<html><body><!-- hello --><p>x</p></body></html>`)
 	if err != nil {
