@@ -92,7 +92,7 @@ func BenchmarkFeaturePopularity(b *testing.B) {
 	b.ResetTimer()
 	var bands analysis.FeatureBands
 	for i := 0; i < b.N; i++ {
-		a := analysis.New(results.Log, study.Registry)
+		a := analysis.FromStats(results.Agg, study.Registry)
 		bands = a.Bands(measure.CaseDefault)
 	}
 	b.ReportMetric(float64(bands.NeverUsed), "never-used(paper:689)")
@@ -282,7 +282,7 @@ func BenchmarkAblationPathNovelty(b *testing.B) {
 			cfg.PathNoveltyPreference = novelty
 			var discovered int
 			for i := 0; i < b.N; i++ {
-				a := analysis.New(survey(b, web, bind, cfg).Log, reg)
+				a := analysis.FromStats(survey(b, web, bind, cfg).Agg, reg)
 				discovered = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(discovered), "standards-discovered")
@@ -310,7 +310,7 @@ func BenchmarkAblationActionBudget(b *testing.B) {
 			cfg.PageSeconds = seconds
 			var used int
 			for i := 0; i < b.N; i++ {
-				fs := survey(b, web, bind, cfg).Log.FeatureSites(measure.CaseDefault)
+				fs := survey(b, web, bind, cfg).Agg.FeatureSites(measure.CaseDefault)
 				used = 0
 				for _, n := range fs {
 					if n > 0 {
@@ -342,7 +342,7 @@ func BenchmarkAblationRounds(b *testing.B) {
 			cfg.Rounds = rounds
 			var used int
 			for i := 0; i < b.N; i++ {
-				a := analysis.New(survey(b, web, bind, cfg).Log, reg)
+				a := analysis.FromStats(survey(b, web, bind, cfg).Agg, reg)
 				used = a.UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(used), "standards-discovered")
@@ -396,7 +396,7 @@ func BenchmarkAblationBranch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res := survey(b, web, bind, cfg)
 				pages = res.Stats.PagesVisited
-				used = analysis.New(res.Log, reg).UsedStandards(measure.CaseDefault)
+				used = analysis.FromStats(res.Agg, reg).UsedStandards(measure.CaseDefault)
 			}
 			b.ReportMetric(float64(pages), "pages")
 			b.ReportMetric(float64(used), "standards-discovered")
@@ -422,7 +422,7 @@ func BenchmarkClosedWebCrawl(b *testing.B) {
 	cfg.WithCredentials = true
 	var used int
 	for i := 0; i < b.N; i++ {
-		used = analysis.New(survey(b, web, bind, cfg).Log, reg).UsedStandards(measure.CaseDefault)
+		used = analysis.FromStats(survey(b, web, bind, cfg).Agg, reg).UsedStandards(measure.CaseDefault)
 	}
 	b.ReportMetric(float64(used), "standards-incl-closed-web")
 }

@@ -12,10 +12,13 @@
 // cmd/pipeline, crawl can fetch over real HTTP (-http) and takes any list
 // of browser configurations (-cases).
 //
-// -format picks the log encoding (csv or binary); readers auto-detect, so
-// either loads anywhere a log is accepted. -cache memoizes visit outcomes
-// on disk so a re-run with an overlapping configuration skips completed
-// visits.
+// The survey keeps no log in memory. With -out the run spills into a
+// scratch directory under $TMPDIR, -out converts the files it committed
+// there into one log, and the directory is removed when the command exits,
+// whether the run succeeded or not. -format picks the log encoding (csv or
+// binary); readers auto-detect, so either loads anywhere a log is
+// accepted. -cache memoizes visit outcomes on disk so a re-run with an
+// overlapping configuration skips completed visits.
 package main
 
 import (
@@ -31,6 +34,16 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run owns every resource the command acquires, each released by a defer,
+// so a failed run still closes the study and removes its scratch spill
+// directory.
+func run() error {
 	var (
 		sites      = flag.Int("sites", 1000, "number of ranked sites to generate and crawl")
 		seed       = flag.Int64("seed", 42, "deterministic seed for generation and crawling")
@@ -54,6 +67,16 @@ func main() {
 		}
 	}
 
+	var spillDir string
+	if *out != "" {
+		dir, err := os.MkdirTemp("", "crawl-spill-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		spillDir = dir
+	}
+
 	study, err := core.NewStudy(core.Config{
 		Sites:         *sites,
 		Seed:          *seed,
@@ -65,18 +88,17 @@ func main() {
 		LogFormat:     *format,
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheLimit,
+		SpillDir:      spillDir,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer study.Close()
 
 	start := time.Now()
 	results, err := study.RunSurvey()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "survey of %d sites completed in %s\n", *sites, time.Since(start).Round(time.Millisecond))
 	if study.Cache != nil {
@@ -87,10 +109,10 @@ func main() {
 	report.Table1(os.Stdout, results.Stats)
 
 	if *out != "" {
-		if err := study.SaveLog(*out, results.Log); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := study.SaveLog(*out, results); err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "measurement log written to %s (%s)\n", *out, *format)
 	}
+	return nil
 }

@@ -18,19 +18,22 @@
 // Sharding never changes results: every -shards × -workers geometry writes
 // the byte-identical log for a seed, only faster or slower.
 //
+// Every run folds its visits into one mergeable statistics aggregate and
+// keeps no log in memory, so memory grows by a few words per site instead
+// of with every visit. -spill streams each shard's completed visits to
+// shard-NNN.spill files as they happen (report -spills replays them).
+// -out converts the spill files the run committed into one measurement
+// log; without -spill the run spills into a scratch directory under
+// $TMPDIR, removed when the command exits, whether the run succeeded or
+// not. -format picks the -out encoding (csv or binary; readers
+// auto-detect).
+//
 // -cache memoizes visit outcomes on disk: a second run with an overlapping
 // configuration skips every completed visit (the hit counters printed at
 // the end prove it) and produces a byte-identical log; -cache-limit caps
-// the cache's size, pruning least-recently-used entries. -spill streams
-// each shard's completed visits to shard-NNN.spill files as they happen,
-// and -format picks the -out encoding (csv or binary; readers auto-detect).
+// the cache's size, pruning least-recently-used entries.
 //
-// -spill-only drops the in-memory log entirely: each shard folds its
-// visits into a mergeable statistics aggregate, so memory grows by a few
-// words per site instead of with every visit, while every printed table is
-// byte-identical to the in-memory run's. Combine with -spill to keep the
-// full log on disk (report -spills replays it); -out is unavailable in this
-// mode.
+// Flag misuse exits 2; a run that fails exits 1.
 //
 // # Distributed surveys
 //
@@ -44,19 +47,20 @@
 // each), ships the study spec to every connecting worker, folds each
 // completed lease's streamed spill data into a merged aggregate — re-issuing
 // the leases of workers that die (-heartbeat silence) — and prints exactly
-// the tables a single-machine -spill-only run of the same flags prints,
-// byte for byte. Workers take their survey methodology from the
-// coordinator, so only engine-geometry flags (-shards, -workers, -batch,
-// -cache…) matter on the worker command line.
+// the tables a single-machine run of the same flags prints, byte for byte.
+// Workers take their survey methodology from the coordinator, so only
+// engine-geometry flags (-shards, -workers, -batch, -cache…) matter on the
+// worker command line.
 //
 // # Crash recovery
 //
 // Every run can be killed and resumed without losing committed work or
 // double-counting any visit (docs/OPERATIONS.md § Crash recovery):
 //
-//   - Single machine: a -spill-only -spill run re-run with -resume replays
-//     the sites whose spill records committed durably and crawls only the
-//     rest; the tables are byte-identical to an uninterrupted run.
+//   - Single machine: a -spill run re-run with -resume replays the sites
+//     whose spill records committed durably and crawls only the rest; the
+//     tables, and the log -out writes, are byte-identical to an
+//     uninterrupted run's.
 //   - Coordinator: -checkpoint journals every committed lease, fsynced;
 //     restarting the same command over the same file re-issues only the
 //     unfinished leases. -seed-spills promotes a crashed single-machine
@@ -67,6 +71,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,7 +87,24 @@ import (
 	"repro/internal/stats"
 )
 
+// usageError marks flag misuse, which exits 2 like the flag package's own
+// errors; any other error is a failed run and exits 1.
+type usageError struct{ error }
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run owns every resource the command acquires, each released by a defer,
+// so a failed or interrupted run still closes the study and removes its
+// scratch spill directory.
+func run() error {
 	var (
 		sites      = flag.Int("sites", 1000, "number of ranked sites to generate and crawl")
 		seed       = flag.Int64("seed", 42, "deterministic seed for generation and crawling")
@@ -98,8 +120,7 @@ func main() {
 		cacheDir   = flag.String("cache", "", "visit cache directory; re-runs skip cached visits")
 		cacheLimit = flag.Int64("cache-limit", 0, "visit cache size cap in bytes; least-recently-used entries are pruned (0 = unbounded)")
 		spillDir   = flag.String("spill", "", "stream per-shard spill files to this directory")
-		spillOnly  = flag.Bool("spill-only", false, "drop the in-memory log; fold visits into mergeable per-shard aggregates (bounded memory)")
-		resume     = flag.Bool("resume", false, "resume a crashed -spill-only run: replay committed sites from -spill and crawl only the rest")
+		resume     = flag.Bool("resume", false, "resume a crashed -spill run: replay committed sites from -spill and crawl only the rest")
 		coord      = flag.String("coordinator", "", "run as survey coordinator, listening on this host:port for workers")
 		workerAddr = flag.String("worker", "", "run as survey worker, connecting to this coordinator host:port")
 		leaseSites = flag.Int("lease", 0, "coordinator: sites per worker lease (0 = default 64)")
@@ -110,56 +131,51 @@ func main() {
 	)
 	flag.Parse()
 
-	if *spillOnly && *out != "" {
-		fmt.Fprintln(os.Stderr, "pipeline: -spill-only keeps no in-memory log; use -spill and `report -spills` instead of -out")
-		os.Exit(2)
-	}
 	if *coord != "" && *workerAddr != "" {
-		fmt.Fprintln(os.Stderr, "pipeline: -coordinator and -worker are mutually exclusive")
-		os.Exit(2)
+		return usageError{errors.New("pipeline: -coordinator and -worker are mutually exclusive")}
 	}
 	if *coord != "" && *out != "" {
-		fmt.Fprintln(os.Stderr, "pipeline: the coordinator merges aggregates, not logs; -out is unavailable in coordinator mode (run workers with -spill for on-disk copies of what they stream)")
-		os.Exit(2)
+		return usageError{errors.New("pipeline: the coordinator merges aggregates, not logs; -out is unavailable in coordinator mode (run workers with -spill for on-disk copies of what they stream)")}
 	}
-	if *workerAddr != "" && (*out != "" || *spillOnly) {
-		fmt.Fprintln(os.Stderr, "pipeline: workers take the survey from the coordinator; -out and -spill-only do not apply in worker mode (-spill keeps local copies of streamed leases)")
-		os.Exit(2)
+	if *workerAddr != "" && *out != "" {
+		return usageError{errors.New("pipeline: workers take the survey from the coordinator; -out does not apply in worker mode (-spill keeps local copies of streamed leases)")}
 	}
-	if *resume && (*spillDir == "" || !*spillOnly) {
-		fmt.Fprintln(os.Stderr, "pipeline: -resume replays the spill directory of a crashed run; it requires -spill-only and -spill")
-		os.Exit(2)
+	if *resume && *spillDir == "" {
+		return usageError{errors.New("pipeline: -resume replays the spill directory of a crashed run; it requires -spill")}
 	}
 	if *resume && (*coord != "" || *workerAddr != "") {
-		fmt.Fprintln(os.Stderr, "pipeline: -resume is single-machine; coordinators resume from -checkpoint, and -seed-spills promotes a crashed local run")
-		os.Exit(2)
+		return usageError{errors.New("pipeline: -resume is single-machine; coordinators resume from -checkpoint, and -seed-spills promotes a crashed local run")}
 	}
 	if (*checkpoint != "" || *seedSpills != "") && *coord == "" {
-		fmt.Fprintln(os.Stderr, "pipeline: -checkpoint and -seed-spills apply only in -coordinator mode")
-		os.Exit(2)
+		return usageError{errors.New("pipeline: -checkpoint and -seed-spills apply only in -coordinator mode")}
 	}
 
 	ctxRoot, stopRoot := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopRoot()
 
 	if *workerAddr != "" {
-		if err := runWorker(ctxRoot, *workerAddr, *spillDir, *reconnect, core.Config{
+		return runWorker(ctxRoot, *workerAddr, *spillDir, *reconnect, core.Config{
 			Shards:        *shards,
 			ShardWorkers:  *workers,
 			BatchSize:     *batch,
 			CacheDir:      *cacheDir,
 			CacheMaxBytes: *cacheLimit,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		})
 	}
 
 	prof, err := blocking.ParseProfile(*profile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return usageError{err}
+	}
+
+	spill := *spillDir
+	if *out != "" && spill == "" {
+		dir, err := os.MkdirTemp("", "pipeline-spill-")
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+		spill = dir
 	}
 
 	study, err := core.NewStudy(core.Config{
@@ -173,13 +189,11 @@ func main() {
 		LogFormat:     *format,
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheLimit,
-		SpillDir:      *spillDir,
-		SpillOnly:     *spillOnly,
+		SpillDir:      spill,
 		Resume:        *resume,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer study.Close()
 
@@ -195,8 +209,7 @@ func main() {
 	if *coord != "" {
 		agg, err := runCoordinator(ctx, *coord, study, *leaseSites, *heartbeat, *checkpoint, *seedSpills)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		results = study.AggregateResults(agg)
 		fmt.Fprintf(os.Stderr, "%d sites × %d cases × %d rounds in %s (distributed)\n",
@@ -204,8 +217,7 @@ func main() {
 	} else {
 		results, err = study.RunSurveyContext(ctx)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "%d sites × %d cases × %d rounds in %s (%d shards × %d workers)\n",
 			*sites, len(prof.Cases()), *rounds, time.Since(start).Round(time.Millisecond), *shards, *workers)
@@ -220,9 +232,6 @@ func main() {
 	}
 	if *spillDir != "" && *coord == "" {
 		fmt.Fprintf(os.Stderr, "per-shard spill files in %s\n", *spillDir)
-	}
-	if *spillOnly {
-		fmt.Fprintln(os.Stderr, "spill-only: tables computed from merged shard aggregates, no in-memory log")
 	}
 
 	report.Table1(os.Stdout, results.Stats)
@@ -245,12 +254,12 @@ func main() {
 	}
 
 	if *out != "" {
-		if err := study.SaveLog(*out, results.Log); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := study.SaveLog(*out, results); err != nil {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "measurement log written to %s (%s)\n", *out, *format)
 	}
+	return nil
 }
 
 // runCoordinator serves the survey to remote workers and returns the merged

@@ -3,7 +3,7 @@
 // the batch binaries' load-scan-exit cycle. It loads its aggregate from one
 // of three sources:
 //
-//   - -spills 'dir/*.spill'   cold-start from a spill-only run's shards
+//   - -spills 'dir/*.spill'   cold-start from a pipeline run's spill files
 //   - -load survey.log        cold-start from a saved log (format auto-detected)
 //   - -coordinator :9000      start empty and act as the distributed-survey
 //     coordinator: workers (pipeline -worker) stream lease commits in and

@@ -42,11 +42,14 @@ var goldenPoints = []struct {
 }
 
 // TestGolden anchors the survey's outputs to committed SHA-256 digests: the
-// CSV and binary encodings of the log, the report rendered from the fold of
-// the CSV-decoded log (what report -log prints), the report rendered from
-// the run's spill files (what report -spills prints, byte-identical to the
-// former), and those spill files re-written as one canonical stream. Every engine, codec and analysis path is checked against this
-// fixed record rather than against another path of the same code.
+// CSV and binary encodings of the log read back from the spill files the
+// run committed (what crawl -out and pipeline -out write), the report
+// rendered from the fold of the CSV-decoded log (what report -log prints),
+// the report rendered from the run's spill files (what report -spills
+// prints, byte-identical to the former), and those spill files re-written
+// as one canonical stream. Every engine, codec and analysis path is checked
+// against this fixed record rather than against another path of the same
+// code.
 func TestGolden(t *testing.T) {
 	for _, p := range goldenPoints {
 		t.Run(p.name, func(t *testing.T) {
@@ -67,11 +70,15 @@ func TestGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var csvLog, binLog bytes.Buffer
-			if err := (logstore.CSV{}).Encode(&csvLog, res.Log); err != nil {
+			l, err := logstore.ReadSpillFiles(res.Spills...)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := (logstore.Binary{}).Encode(&binLog, res.Log); err != nil {
+			var csvLog, binLog bytes.Buffer
+			if err := (logstore.CSV{}).Encode(&csvLog, l); err != nil {
+				t.Fatal(err)
+			}
+			if err := (logstore.Binary{}).Encode(&binLog, l); err != nil {
 				t.Fatal(err)
 			}
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/cve"
 	"repro/internal/firefoxhist"
+	"repro/internal/logstore"
 	"repro/internal/measure"
 	"repro/internal/pipeline"
 	"repro/internal/standards"
@@ -38,13 +39,17 @@ func surveyed(t testing.TB) (*synthweb.Web, *Analysis) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := pipeline.New(web, webapi.NewBindings(reg), pipeline.Config{Crawl: crawler.DefaultConfig(17)}).Run(context.Background())
+	res, err := pipeline.New(web, webapi.NewBindings(reg), pipeline.Config{SpillDir: t.TempDir(), Crawl: crawler.DefaultConfig(17)}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := logstore.ReadSpillFiles(res.Spills...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharedWeb = web
-	sharedLog = res.Log
-	sharedAna = New(res.Log, reg)
+	sharedLog = log
+	sharedAna = New(log, reg)
 	sharedHist = firefoxhist.New(reg)
 	return web, sharedAna
 }

@@ -20,7 +20,7 @@
 // Analysis consumes only measured data — never the synthetic web's
 // calibration profile — so the same code analyzes logs from the
 // internal/pipeline engine, a CSV written by an earlier run, or the merged
-// spill stream of a spill-only survey.
+// spill streams of a survey.
 // TopFeatures and FeatureDeltas render the headline tables the
 // cmd/pipeline binary prints: per-feature popularity and the per-feature
 // usage drops caused by content blocking.

@@ -54,7 +54,7 @@ type Config struct {
 	// HumanSample is the external-validation sample size; 0 means the
 	// paper's 92 completed domains.
 	HumanSample int
-	// LogFormat names the logstore codec WriteLog uses ("csv" or
+	// LogFormat names the logstore codec SaveLog writes ("csv" or
 	// "binary"); "" means csv, the original format. Reading always
 	// auto-detects, so the format only matters when writing.
 	LogFormat string
@@ -62,15 +62,16 @@ type Config struct {
 	// re-runs with overlapping configs skip completed visits.
 	CacheDir string
 	// SpillDir, when non-empty, streams each pipeline shard's completed
-	// visits to a spill file in this directory; logstore.ReadSpillFiles
-	// reassembles them into the full log and stats.FromSpills folds them
+	// visits to a spill file in this directory, the only place a survey
+	// keeps its full log: Results.Spills names the files a run committed,
+	// SaveLog converts them into one log, and stats.FromSpills folds them
 	// into a warm aggregate.
 	SpillDir string
-	// SpillOnly drops the in-memory log: each shard folds its visits into
-	// a mergeable stats aggregate, Results.Log is nil, and memory grows by
-	// a few words per site instead of with every visit. Every statistic —
-	// and so every table and figure — is identical to an in-memory run's.
-	// Combine with SpillDir to keep the full log on disk.
+	// SpillOnly is read by nothing: every survey folds its visits into one
+	// mergeable aggregate and keeps no log in memory, so memory grows by a
+	// few words per site instead of with every visit.
+	//
+	// Deprecated: leave it unset.
 	SpillOnly bool
 	// CacheMaxBytes caps the visit cache's on-disk size; once entries
 	// exceed it the least-recently-used are pruned (a manifest in the
@@ -120,9 +121,11 @@ type humanVisit struct {
 
 // Results bundles a completed survey.
 type Results struct {
-	// Log is the full measurement log of a keep-log survey, what SaveLog
-	// writes; nil for spill-only surveys, whose measurements live in Agg
-	// (and in spill files when SpillDir is set). No report reads it.
+	// Log is set by no survey: a run keeps its measurements in Agg and, with
+	// a SpillDir, in the spill files Spills names. No report reads it.
+	//
+	// Deprecated: SaveLog converts Spills into a log file, and
+	// logstore.ReadSpillFiles(Spills...) reads them into a measure.Log.
 	Log   *measure.Log
 	Stats *crawler.Stats
 	// Agg is the statistics source — the mergeable aggregate maintained
@@ -133,6 +136,11 @@ type Results struct {
 	// Resumed counts the sites replayed from a previous crashed life's
 	// spill files rather than crawled; 0 for a fresh run.
 	Resumed int
+	// Spills names the spill files the survey committed under SpillDir, in
+	// order: the compacted stream a resumed run replayed, then each
+	// shard's file. They hold exactly this survey's visits, whatever else
+	// the directory holds. Nil without a SpillDir.
+	Spills []string
 }
 
 // NewStudy generates the study environment: WebIDL corpus, synthetic web,
@@ -275,7 +283,7 @@ func (s *Study) RunSurveyContext(ctx context.Context) (*Results, error) {
 		return nil, err
 	}
 	results := s.AggregateResults(res.Agg)
-	results.Log, results.Resumed = res.Log, resumed
+	results.Resumed, results.Spills = resumed, res.Spills
 	return results, nil
 }
 
@@ -287,7 +295,6 @@ func (s *Study) pipeline() *pipeline.Engine {
 		BatchSize:       s.Cfg.BatchSize,
 		Cache:           s.Cache,
 		SpillDir:        s.Cfg.SpillDir,
-		SpillOnly:       s.Cfg.SpillOnly,
 		SpillTap:        s.Cfg.SpillTap,
 		Crawl:           s.crawlConfig(),
 	})
@@ -331,8 +338,8 @@ func (s *Study) Spec() ([]byte, error) {
 // StudyFromSpec builds a worker's study from a coordinator's spec. The
 // spec's methodology fields override opts; opts supplies the worker-local
 // engine configuration (Shards, ShardWorkers, CacheDir, …). The returned
-// study always runs the pipeline engine in spill-only mode — a distributed
-// worker is exactly a spill-only shard.
+// study keeps no spill directory of its own: a distributed worker streams
+// each lease to its coordinator instead (CrawlSites).
 func StudyFromSpec(data []byte, opts Config) (*Study, error) {
 	var sp spec
 	if err := json.Unmarshal(data, &sp); err != nil {
@@ -345,7 +352,6 @@ func StudyFromSpec(data []byte, opts Config) (*Study, error) {
 	opts.Seed = sp.Seed
 	opts.Rounds = sp.Rounds
 	opts.Cases = sp.Cases
-	opts.SpillOnly = true
 	opts.SpillDir = ""
 	return NewStudy(opts)
 }
@@ -366,7 +372,7 @@ func (s *Study) domains() []string {
 func (s *Study) Domains() []string { return s.domains() }
 
 // CrawlSites crawls exactly the given site indices — a distributed lease —
-// through a spill-only pipeline run, streaming the visits into spill as one
+// through a pipeline run, streaming the visits into spill as one
 // complete spill stream (header first, then every observation, failure, and
 // site-end marker). It matches dist.CrawlFunc; cmd/pipeline -worker wires
 // it up.
@@ -377,7 +383,6 @@ func (s *Study) CrawlSites(ctx context.Context, sites []int, spill io.Writer) er
 	}
 	eng := s.pipeline()
 	eng.Cfg.Sites = sites
-	eng.Cfg.SpillOnly = true
 	eng.Cfg.SpillDir = ""
 	eng.Cfg.Spill = w
 	if _, err := eng.Run(ctx); err != nil {
@@ -509,20 +514,17 @@ func (s *Study) WriteAggregateReport(w io.Writer, results *Results) error {
 	return s.WriteReport(w, results)
 }
 
-// WriteLog serializes the measurement log in the study's configured format
+// SaveLog converts the spill files a survey committed (results.Spills)
+// into its measurement log and writes it to path in the configured format
 // (Config.LogFormat). Logs written in any format load back through
 // logstore.Read/ReadFile, which auto-detect.
-func (s *Study) WriteLog(w io.Writer, l *measure.Log) error {
-	if l == nil {
-		return fmt.Errorf("core: no in-memory log to write (spill-only survey)")
+func (s *Study) SaveLog(path string, results *Results) error {
+	if len(results.Spills) == 0 {
+		return fmt.Errorf("core: the survey committed no spill files to convert; run it with a SpillDir")
 	}
-	return s.codec.Encode(w, l)
-}
-
-// SaveLog writes the measurement log to a file in the configured format.
-func (s *Study) SaveLog(path string, l *measure.Log) error {
-	if l == nil {
-		return fmt.Errorf("core: no in-memory log to save (spill-only survey)")
+	l, err := logstore.ReadSpillFiles(results.Spills...)
+	if err != nil {
+		return fmt.Errorf("core: reading the survey's spill files: %w", err)
 	}
 	return logstore.WriteFile(path, s.codec, l)
 }

@@ -91,20 +91,28 @@ func TestHTTPModeMatchesDirect(t *testing.T) {
 	}
 	cfg := Config{
 		Sites: 25, Seed: 33, Rounds: 2,
-		Cases:  []measure.Case{measure.CaseDefault, measure.CaseBlocking},
-		Shards: 2,
+		Cases:    []measure.Case{measure.CaseDefault, measure.CaseBlocking},
+		Shards:   2,
+		SpillDir: t.TempDir(),
 	}
 	_, direct := smallStudy(t, cfg)
 	cfg.UseHTTP = true
+	cfg.SpillDir = t.TempDir()
 	_, overHTTP := smallStudy(t, cfg)
 	// The HTTP hop must be observationally transparent: the same log, byte
 	// for byte, and the same Table 1 summary.
 	var want, got bytes.Buffer
-	if err := (logstore.CSV{}).Encode(&want, direct.Log); err != nil {
-		t.Fatal(err)
-	}
-	if err := (logstore.CSV{}).Encode(&got, overHTTP.Log); err != nil {
-		t.Fatal(err)
+	for _, run := range []struct {
+		res *Results
+		buf *bytes.Buffer
+	}{{direct, &want}, {overHTTP, &got}} {
+		l, err := logstore.ReadSpillFiles(run.res.Spills...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := (logstore.CSV{}).Encode(run.buf, l); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Errorf("log over HTTP differs from the direct crawl's (%d vs %d bytes)", got.Len(), want.Len())

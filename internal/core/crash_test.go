@@ -11,7 +11,7 @@ import (
 	"repro/internal/measure"
 )
 
-// crashStudyConfig is a small spill-only pipeline study sized so the
+// crashStudyConfig is a small spilling pipeline study sized so the
 // crash matrix stays fast while still spanning several spill flushes
 // per shard.
 func crashStudyConfig(spillDir string) Config {
@@ -23,7 +23,6 @@ func crashStudyConfig(spillDir string) Config {
 		Shards:       2,
 		ShardWorkers: 1,
 		BatchSize:    4,
-		SpillOnly:    true,
 		SpillDir:     spillDir,
 	}
 }

@@ -17,29 +17,34 @@ import (
 func TestSurveyLogRoundTrip(t *testing.T) {
 	study, results := smallStudy(t, Config{
 		Sites: 60, Seed: 31, Rounds: 2,
-		Cases: []measure.Case{measure.CaseDefault, measure.CaseBlocking},
+		Cases:    []measure.Case{measure.CaseDefault, measure.CaseBlocking},
+		SpillDir: t.TempDir(),
 	})
+	l, err := logstore.ReadSpillFiles(results.Spills...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range logstore.Names() {
 		t.Run(name, func(t *testing.T) {
 			codec, err := logstore.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			testLogRoundTrip(t, study, results, codec)
+			testLogRoundTrip(t, study, results, l, codec)
 		})
 	}
 }
 
-func testLogRoundTrip(t *testing.T, study *Study, results *Results, codec logstore.Codec) {
+func testLogRoundTrip(t *testing.T, study *Study, results *Results, l *measure.Log, codec logstore.Codec) {
 	var buf bytes.Buffer
-	if err := codec.Encode(&buf, results.Log); err != nil {
+	if err := codec.Encode(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := logstore.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored, results.Log) {
+	if !reflect.DeepEqual(restored, l) {
 		t.Error("restored survey log not deep-equal to the original")
 	}
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/crawler"
+	"repro/internal/logstore"
 	"repro/internal/measure"
 	"repro/internal/pipeline"
 	"repro/internal/standards"
@@ -37,19 +38,25 @@ func runSurvey(t testing.TB) (*synthweb.Web, *measure.Log, *crawler.Stats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := survey(t, web, pipeline.Config{Crawl: crawler.DefaultConfig(11)})
-	sharedWeb, sharedLog, sharedStats = web, res.Log, res.Stats
-	return web, res.Log, res.Stats
+	log, stats := survey(t, web, pipeline.Config{Crawl: crawler.DefaultConfig(11)})
+	sharedWeb, sharedLog, sharedStats = web, log, stats
+	return web, log, stats
 }
 
-// survey runs one pipeline survey of web.
-func survey(t testing.TB, web *synthweb.Web, cfg pipeline.Config) *pipeline.Result {
+// survey runs one pipeline survey of web and returns the log its spill
+// files hold, with its Table 1 stats.
+func survey(t testing.TB, web *synthweb.Web, cfg pipeline.Config) (*measure.Log, *crawler.Stats) {
 	t.Helper()
+	cfg.SpillDir = t.TempDir()
 	res, err := pipeline.New(web, webapi.NewBindings(web.Registry), cfg).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	log, err := logstore.ReadSpillFiles(res.Spills...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log, res.Stats
 }
 
 func TestSurveyMeasuresMostDomains(t *testing.T) {
@@ -244,7 +251,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	web, log, _ := runSurvey(t)
 	cfg := crawler.DefaultConfig(11)
 	cfg.Cases = []measure.Case{measure.CaseDefault}
-	log2 := survey(t, web, pipeline.Config{Shards: 2, WorkersPerShard: 1, Crawl: cfg}).Log
+	log2, _ := survey(t, web, pipeline.Config{Shards: 2, WorkersPerShard: 1, Crawl: cfg})
 	for site := range web.Sites {
 		a := log.SiteUnion(measure.CaseDefault, site)
 		b := log2.SiteUnion(measure.CaseDefault, site)
@@ -306,7 +313,7 @@ func TestPathNoveltyAblation(t *testing.T) {
 	cfg.Cases = []measure.Case{measure.CaseDefault}
 	cfg.Rounds = 1
 	cfg.PathNoveltyPreference = false
-	if survey(t, web, pipeline.Config{Crawl: cfg}).Stats.PagesVisited == 0 {
+	if _, stats := survey(t, web, pipeline.Config{Crawl: cfg}); stats.PagesVisited == 0 {
 		t.Fatal("ablated crawl visited nothing")
 	}
 }

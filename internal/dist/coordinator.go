@@ -296,7 +296,7 @@ func (c *Coordinator) Leases() int { return len(c.leases) }
 
 // Serve accepts workers and runs the survey to completion, returning the
 // merged aggregate — statistic for statistic identical to a single-machine
-// spill-only run of the same study. It returns when every lease has merged,
+// run of the same study. It returns when every lease has merged,
 // when ctx is canceled, or when a lease exhausts MaxLeaseAttempts.
 func (c *Coordinator) Serve(ctx context.Context) (*stats.Aggregate, error) {
 	go c.accept()
@@ -456,9 +456,9 @@ func (c *Coordinator) runLease(cn *conn, id int) error {
 
 // mergeLease folds a committed lease's spill stream into the survey
 // aggregate: the stream replays through stats.FromSpillStream into a
-// per-lease aggregate, which then merges — the same FromSpills +
-// Aggregate.Merge path a spill-only single-machine run uses, so the merged
-// totals cannot diverge from it. Already-completed leases are dropped
+// per-lease aggregate, which then merges. The per-lease fold is the same
+// AddVisit/EndSite path a single-machine run feeds its aggregate through,
+// and every fold commutes, so the merged totals cannot diverge from it. Already-completed leases are dropped
 // (duplicate commits double-count; see TestMergeOverlappingSites), which
 // makes a lease that was re-issued after a slow — not dead — worker
 // finally commits harmless.

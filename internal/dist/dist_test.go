@@ -26,15 +26,14 @@ func testStudyConfig() core.Config {
 	}
 }
 
-// singleMachineReport runs the study spill-only on one machine and renders
-// the aggregate report: the byte-level ground truth a distributed run must
+// singleMachineReport runs the study on one machine and renders the
+// aggregate report: the byte-level ground truth a distributed run must
 // reproduce.
 func singleMachineReport(t *testing.T) []byte {
 	t.Helper()
 	cfg := testStudyConfig()
 	cfg.Shards = 2
 	cfg.ShardWorkers = 2
-	cfg.SpillOnly = true
 	study, err := core.NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +130,7 @@ func distributedReport(t *testing.T, workerCount, leaseSites int) []byte {
 
 // TestLoopbackMatchesSingleMachine is the tentpole equivalence proof: a
 // coordinator-merged report is byte-identical to a single-machine
-// spill-only run at several worker counts.
+// run at several worker counts.
 func TestLoopbackMatchesSingleMachine(t *testing.T) {
 	want := singleMachineReport(t)
 	for _, tc := range []struct {

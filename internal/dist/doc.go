@@ -1,19 +1,18 @@
 // Package dist runs the survey across machines: a coordinator/worker
 // protocol over TCP that partitions the site list into leases, farms the
-// leases out to workers running local spill-only pipeline shards, and
-// merges their streamed results into one statistics aggregate — identical,
+// leases out to workers running local internal/pipeline runs, and merges
+// their streamed results into one statistics aggregate — identical,
 // statistic for statistic and therefore report byte for report byte, to a
 // single-machine run of the same study.
 //
 // # Why this is nearly free
 //
-// The layers below were built for exactly this moment. A remote worker is a
-// spill-only internal/pipeline shard (it folds visits into a mergeable
-// stats.Aggregate and never holds a log); the internal/logstore spill
-// stream is already a complete, self-describing, corruption-detecting
-// serialization of a shard's output; stats.FromSpillStream replays a
-// stream into an aggregate and stats.Aggregate.Merge folds aggregates
-// together. dist adds only the transport (length-prefixed frames carrying
+// The layers below were built for exactly this moment. A remote worker is an
+// internal/pipeline run over its lease's sites (it folds visits into a
+// mergeable stats.Aggregate and never holds a log); the internal/logstore
+// spill stream is already a complete, self-describing, corruption-detecting
+// serialization of a run's output; stats.FromSpillStream replays a stream
+// into an aggregate and stats.Aggregate.Merge folds aggregates together. dist adds only the transport (length-prefixed frames carrying
 // spill chunks) and the lease lifecycle (who crawls what, and what happens
 // when they die).
 //

@@ -16,8 +16,8 @@ import (
 // CrawlFunc runs the worker's local survey engine over a lease: it crawls
 // exactly the given site indices and streams the resulting spill records —
 // one complete, self-describing spill stream — into spill.
-// core.Study.CrawlSites is the production implementation (a spill-only
-// internal/pipeline shard).
+// core.Study.CrawlSites is the production implementation (an
+// internal/pipeline run over the lease's sites).
 type CrawlFunc func(ctx context.Context, sites []int, spill io.Writer) error
 
 // WorkerConfig parameterizes one worker process.

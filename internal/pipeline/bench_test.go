@@ -29,16 +29,14 @@ func benchCrawlConfig() crawler.Config {
 func BenchmarkPipeline(b *testing.B) {
 	setup(b)
 	geometries := []struct {
-		name      string
-		shards    int
-		workers   int
-		spillOnly bool
+		name    string
+		shards  int
+		workers int
 	}{
-		{"1x1", 1, 1, false},
-		{"1x2", 1, 2, false},
-		{"2x2", 2, 2, false},
-		{"2x4-8workers", 2, 4, false},
-		{"2x2-spillonly", 2, 2, true},
+		{"1x1", 1, 1},
+		{"1x2", 1, 2},
+		{"2x2", 2, 2},
+		{"2x4-8workers", 2, 4},
 	}
 	for _, g := range geometries {
 		b.Run(g.name, func(b *testing.B) {
@@ -48,7 +46,6 @@ func BenchmarkPipeline(b *testing.B) {
 				eng := New(testWeb, testBind, Config{
 					Shards:          g.shards,
 					WorkersPerShard: g.workers,
-					SpillOnly:       g.spillOnly,
 					Crawl:           benchCrawlConfig(),
 				})
 				if _, err := eng.Run(context.Background()); err != nil {
@@ -110,96 +107,67 @@ func benchStandards(numFeatures int) []standards.Abbrev {
 }
 
 // BenchmarkAggregateMerge isolates the aggregate feed: pure fold and
-// synchronization cost, no browsing, for both the keep-log grid and the
-// spill-only bounded mode.
+// synchronization cost, no browsing.
 func BenchmarkAggregateMerge(b *testing.B) {
 	cases := benchCrawlConfig().Cases
 	const numFeatures = 1024
-	for _, mode := range []struct {
-		name    string
-		keepLog bool
-	}{{"keeplog", true}, {"spillonly", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := stats.Config{
-				NumFeatures: numFeatures,
-				NumSites:    testSites,
-				Standards:   benchStandards(numFeatures),
-				Cases:       cases,
-				Rounds:      2,
-				Stripes:     16,
-				KeepLog:     mode.keepLog,
-			}
-			if mode.keepLog {
-				cfg.Domains = make([]string, testSites)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg, err := stats.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				feedAggregate(b, agg, numFeatures, testSites, 2, cases)
-				if mode.keepLog {
-					agg.Log()
-				} else {
-					agg.FeatureSites(measure.CaseDefault)
-				}
-			}
-		})
+	cfg := stats.Config{
+		NumFeatures: numFeatures,
+		NumSites:    testSites,
+		Standards:   benchStandards(numFeatures),
+		Cases:       cases,
+		Stripes:     16,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg, err := stats.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		feedAggregate(b, agg, numFeatures, testSites, 2, cases)
+		agg.FeatureSites(measure.CaseDefault)
 	}
 }
 
-// BenchmarkAggregateMemoryScaling is the spill-only acceptance benchmark:
-// as the site count scales, live aggregate memory must grow only by each
-// retired site's default-case standard set (two words at 75 standards),
-// because a retired site leaves nothing else but counter increments behind.
-// Keep-log aggregates are measured alongside for contrast — their grids
-// grow with every visit's feature set. The
-// live-MB metric is the heap growth attributable to the one aggregate held
-// at measurement time.
+// BenchmarkAggregateMemoryScaling is the aggregate's memory acceptance
+// benchmark: as the site count scales, live aggregate memory must grow only
+// by each retired site's default-case standard set (two words at 75
+// standards), because a retired site leaves nothing else but counter
+// increments behind. The live-MB metric is the heap growth attributable to
+// the one aggregate held at measurement time.
 func BenchmarkAggregateMemoryScaling(b *testing.B) {
 	cases := []measure.Case{measure.CaseDefault, measure.CaseBlocking}
 	const numFeatures = 1024
 	stdOf := benchStandards(numFeatures)
-	for _, mode := range []struct {
-		name    string
-		keepLog bool
-	}{{"spillonly", false}, {"keeplog", true}} {
-		for _, sites := range []int{1_000, 4_000, 16_000} {
-			b.Run(mode.name+"/"+itoa(sites), func(b *testing.B) {
-				cfg := stats.Config{
-					NumFeatures: numFeatures,
-					NumSites:    sites,
-					Standards:   stdOf,
-					Cases:       cases,
-					Rounds:      2,
-					Stripes:     16,
-					KeepLog:     mode.keepLog,
+	for _, sites := range []int{1_000, 4_000, 16_000} {
+		b.Run(itoa(sites), func(b *testing.B) {
+			cfg := stats.Config{
+				NumFeatures: numFeatures,
+				NumSites:    sites,
+				Standards:   stdOf,
+				Cases:       cases,
+				Stripes:     16,
+			}
+			b.ReportAllocs()
+			var live float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				agg, err := stats.New(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				if mode.keepLog {
-					cfg.Domains = make([]string, sites)
-				}
-				b.ReportAllocs()
-				var live float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var before, after runtime.MemStats
-					runtime.GC()
-					runtime.ReadMemStats(&before)
-					agg, err := stats.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					feedAggregate(b, agg, numFeatures, sites, 2, cases)
-					runtime.GC()
-					runtime.ReadMemStats(&after)
-					live += float64(after.HeapAlloc) - float64(before.HeapAlloc)
-					runtime.KeepAlive(agg)
-				}
-				b.ReportMetric(live/float64(b.N)/(1<<20), "live-MB")
-			})
-		}
+				feedAggregate(b, agg, numFeatures, sites, 2, cases)
+				runtime.GC()
+				runtime.ReadMemStats(&after)
+				live += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+				runtime.KeepAlive(agg)
+			}
+			b.ReportMetric(live/float64(b.N)/(1<<20), "live-MB")
+		})
 	}
 }
 

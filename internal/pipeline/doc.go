@@ -23,27 +23,26 @@
 // All queues are bounded, giving natural back-pressure, and a
 // context.Context cancels the whole pipeline gracefully.
 //
-// The engine has two memory modes. The default keeps the full per-visit
-// grid, so Result.Log is the complete measure.Log, ready to save. SpillOnly
-// drops the grid entirely: each shard folds its visits into a local
-// stats.Aggregate (plus a streaming spill file when SpillDir is set), the
-// shard aggregates merge after the run, and memory grows by only the
-// aggregate's per-site standard sets (a few words a site), not per visit;
-// stats.FromSpills rebuilds the identical aggregate from the spill files
-// alone. Either way the aggregate answers every analysis query, so both
-// modes render the whole paper without rescanning a log.
+// The engine keeps no per-visit grid: every worker of every shard folds
+// its visits into one stats.Aggregate, so memory grows by only the
+// aggregate's per-site standard sets (a few words a site), not per visit.
+// With SpillDir set, each shard also streams its visits to a spill file;
+// Result.Spills names the files a run committed, logstore.ReadSpillFiles
+// reassembles them into the full measure.Log, and stats.FromSpills rebuilds
+// the identical aggregate from them alone. The aggregate answers every
+// analysis query, so a run renders the whole paper without a log.
 //
 // Determinism is the engine's contract: because visit randomness depends
-// only on (seed, site, case, round) and every aggregate cell is written by
-// at most one visit — all cross-visit state being commutative bit-set
-// unions and integer sums — the final measure.Log is byte-identical at
-// every shard/worker geometry, and a spill-only run renders byte-identical
-// reports. The oracle is a single-threaded site → case → round loop over
+// only on (seed, site, case, round) and every log cell is written by at
+// most one visit — all cross-visit state being commutative bit-set unions
+// and integer sums — the log the spill files hold is byte-identical at
+// every shard/worker geometry, and so are the reports the aggregate
+// renders. The oracle is a single-threaded site → case → round loop over
 // crawler.Visitor in the repository's root tests (TestOracleMatchesGolden),
 // checked against the committed golden CSV digests; this package's tests
 // take a 1 shard × 1 worker run as their baseline, and
 // TestPipelineMatchesSequential and TestSpillOnlyMatchesInMemory hold every
-// other geometry and mode to it.
+// other geometry to it.
 //
 // Two Config fields exist for the distributed protocol (internal/dist):
 // Sites restricts a run to a subset of site indices (a worker's lease) while

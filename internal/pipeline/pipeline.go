@@ -45,9 +45,10 @@ type Config struct {
 	Cache *logstore.Cache
 	// SpillDir, when non-empty, streams every shard's completed visits
 	// to a spill file (shard-NNN.spill) in this directory as they merge,
-	// so partial results survive on disk instead of living only in the
-	// in-memory aggregate. logstore.ReadSpillFiles reassembles them into
-	// a full log; stats.FromSpills folds them into a warm aggregate.
+	// so the survey's log survives on disk instead of only its aggregate.
+	// Result.Spills names the files a run committed;
+	// logstore.ReadSpillFiles reassembles them into the full log, and
+	// stats.FromSpills folds them into a warm aggregate.
 	SpillDir string
 	// Spill, when non-nil, is an externally owned spill writer shared by
 	// every shard in place of SpillDir's per-shard files. The engine
@@ -55,13 +56,6 @@ type Config struct {
 	// is how a distributed worker streams a lease's visits straight onto
 	// the wire (internal/dist) instead of into local files.
 	Spill *logstore.Writer
-	// SpillOnly drops the in-memory log: each shard folds its visits
-	// into a local mergeable stats.Aggregate (plus its spill file when
-	// SpillDir is set), the shard aggregates merge after the run, and
-	// Result.Log is nil. Memory grows by a few words per site instead of
-	// with every visit; every statistic (and therefore every table and
-	// figure) is identical to the in-memory run's.
-	SpillOnly bool
 	// Sites, when non-nil, restricts the survey to these site indices of
 	// the web (a distributed lease); nil crawls every site. The stats
 	// aggregate is still sized for the full site list, so subset
@@ -127,14 +121,16 @@ func New(web *synthweb.Web, bindings *webapi.Bindings, cfg Config) *Engine {
 
 // Result bundles a completed pipeline survey.
 type Result struct {
-	// Log is the full in-memory measurement log; nil in spill-only mode,
-	// where the log exists only as spill files (if SpillDir was set).
-	Log *measure.Log
 	// Agg is the mergeable statistics aggregate the run maintained
 	// incrementally; analysis built from it starts warm, with no log
 	// rescan.
 	Agg   *stats.Aggregate
 	Stats *crawler.Stats
+	// Spills names the spill files the run committed, in order: the
+	// ResumeSpills it replayed, then each shard's file. Together they hold
+	// every visit of the survey, so logstore.ReadSpillFiles(Spills...) is
+	// its full log. Nil unless the run spilled to SpillDir.
+	Spills []string
 }
 
 // SurveyStats summarizes a completed aggregate in the crawler's Stats shape
@@ -153,8 +149,9 @@ func SurveyStats(a stats.Source, pageSeconds float64) *crawler.Stats {
 
 // Run executes the survey. The context cancels gracefully: in-flight visits
 // finish, queued sites are dropped, and Run returns ctx.Err() without
-// leaking goroutines. On success the returned log (when not spill-only) is
-// the same for every geometry, given the same crawl config and seed.
+// leaking goroutines. On success the aggregate, and the log the spill files
+// hold, are the same for every geometry, given the same crawl config and
+// seed.
 func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	cfg := e.Cfg.normalized()
 	if cfg.Crawl.Rounds <= 0 || cfg.Crawl.Branch <= 0 {
@@ -168,36 +165,17 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	numFeatures := len(e.Web.Registry.Features)
 	stdOf := stats.StandardsOf(e.Web.Registry)
 
-	// In-memory mode shares one keep-log aggregate across all shards; in
-	// spill-only mode each shard owns a local aggregate — the same unit a
-	// remote shard would ship home — and the shards merge after the run.
-	statsCfg := stats.Config{
+	// Every shard folds into one aggregate; workers synchronize only on
+	// its stripe locks, which sites map to by index.
+	agg, err := stats.New(stats.Config{
 		NumFeatures: numFeatures,
 		NumSites:    len(domains),
 		Standards:   stdOf,
 		Cases:       cfg.Crawl.Cases,
-		Rounds:      cfg.Crawl.Rounds,
 		Stripes:     cfg.Stripes,
-	}
-	aggs := make([]*stats.Aggregate, cfg.Shards)
-	if cfg.SpillOnly {
-		for s := range aggs {
-			agg, err := stats.New(statsCfg)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline: %w", err)
-			}
-			aggs[s] = agg
-		}
-	} else {
-		statsCfg.KeepLog = true
-		statsCfg.Domains = domains
-		shared, err := stats.New(statsCfg)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-		for s := range aggs {
-			aggs[s] = shared
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 
 	// Replay the committed records of a previous crashed life before any
@@ -217,7 +195,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 			s.Close()
 			return nil, fmt.Errorf("pipeline: resume spills describe a different study")
 		}
-		err = stats.Replay(aggs[0], s)
+		err = stats.Replay(agg, s)
 		if cerr := s.Close(); err == nil {
 			err = cerr
 		}
@@ -244,7 +222,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	// complete instead of existing only in the aggregate. An external
 	// cfg.Spill writer is shared by every shard and never closed here.
 	spills := make([]*logstore.Writer, cfg.Shards)
-	ownSpills := false
+	var spillPaths []string
 	if cfg.Spill != nil {
 		for s := range spills {
 			spills[s] = cfg.Spill
@@ -253,13 +231,15 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
 			return nil, fmt.Errorf("pipeline: creating spill dir: %w", err)
 		}
+		spillPaths = append(spillPaths, cfg.ResumeSpills...)
 		for s := range spills {
 			var tap func(io.Writer) io.Writer
 			if cfg.SpillTap != nil {
 				shard := s
 				tap = func(w io.Writer) io.Writer { return cfg.SpillTap(shard, w) }
 			}
-			w, err := logstore.CreateAtomicTapped(filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%03d.spill", s)), numFeatures, domains, tap)
+			path := filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%03d.spill", s))
+			w, err := logstore.CreateAtomicTapped(path, numFeatures, domains, tap)
 			if err != nil {
 				for _, open := range spills[:s] {
 					open.Discard()
@@ -267,8 +247,8 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 				return nil, fmt.Errorf("pipeline: creating spill: %w", err)
 			}
 			spills[s] = w
+			spillPaths = append(spillPaths, path)
 		}
-		ownSpills = true
 	}
 
 	// Each shard runs an independent worker pool. Workers surface
@@ -282,12 +262,12 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		shardQueues[s] = make(chan *synthweb.Site, cfg.QueueDepth)
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			crawlWG.Add(1)
-			go func(queue <-chan *synthweb.Site, agg *stats.Aggregate, spill *logstore.Writer) {
+			go func(queue <-chan *synthweb.Site, spill *logstore.Writer) {
 				defer crawlWG.Done()
 				if err := e.crawlWorker(ctx, cfg, numFeatures, queue, agg, spill); err != nil {
 					errOnce.Do(func() { runErr = err })
 				}
-			}(shardQueues[s], aggs[s], spills[s])
+			}(shardQueues[s], spills[s])
 		}
 	}
 
@@ -314,7 +294,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 	feedWG.Wait()
 	crawlWG.Wait()
 
-	if ownSpills {
+	if spillPaths != nil {
 		// Publish shard spills (tmp → final rename) only after a clean
 		// run; a failed or canceled run discards, leaving .partial files
 		// whose committed sites the next life's resume scan salvages.
@@ -343,19 +323,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 		return nil, runErr
 	}
 
-	final := aggs[0]
-	if cfg.SpillOnly {
-		for _, shard := range aggs[1:] {
-			if err := final.Merge(shard); err != nil {
-				return nil, fmt.Errorf("pipeline: merging shard aggregates: %w", err)
-			}
-		}
-	}
-	res := &Result{Agg: final, Stats: SurveyStats(final, cfg.Crawl.PageSeconds)}
-	if !cfg.SpillOnly {
-		res.Log = final.Log()
-	}
-	return res, nil
+	return &Result{Agg: agg, Stats: SurveyStats(agg, cfg.Crawl.PageSeconds), Spills: spillPaths}, nil
 }
 
 // crawlWorker drains one shard queue. The crawler supplies the per-visit
@@ -369,7 +337,7 @@ func (e *Engine) Run(ctx context.Context) (*Result, error) {
 // For each site it runs every configured case for every round: a failed
 // visit marks the site unmeasurable and skips the case's remaining rounds,
 // but other cases still run. Completed visits accumulate into a batch that
-// is folded into the shard's aggregate — and, when the shard spills,
+// is folded into the run's aggregate — and, when the shard spills,
 // flushed to its spill writer — every BatchSize observations. When a
 // site's last case finishes, a site-end event rides the same batch, so the
 // aggregate retires the site's accumulator and spill readers can do the

@@ -21,9 +21,10 @@ import (
 )
 
 // Shared small study: 90 sites, full methodology, fixed seed. The baseline is
-// a 1 shard × 1 worker run, computed once; every other geometry and mode is
-// compared to it. The repository's root TestOracleMatchesGolden holds the
-// engine to a single-threaded visit loop and the committed golden digests.
+// the log a 1 shard × 1 worker run's spill files hold, computed once; every
+// other geometry is compared to it. The repository's root
+// TestOracleMatchesGolden holds the engine to a single-threaded visit loop
+// and the committed golden digests.
 var (
 	setupOnce sync.Once
 	setupErr  error
@@ -53,12 +54,13 @@ func setup(t testing.TB) {
 			return
 		}
 		testBind = webapi.NewBindings(reg)
-		base, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, Crawl: testCrawlConfig()}).Run(context.Background())
+		base, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, SpillDir: t.TempDir(), Crawl: testCrawlConfig()}).Run(context.Background())
 		if err != nil {
 			setupErr = err
 			return
 		}
-		baseLog, baseStats = base.Log, base.Stats
+		baseStats = base.Stats
+		baseLog, setupErr = logstore.ReadSpillFiles(base.Spills...)
 	})
 	if setupErr != nil {
 		t.Fatal(setupErr)
@@ -70,15 +72,25 @@ func testCrawlConfig() crawler.Config {
 	return crawler.DefaultConfig(testSeed)
 }
 
-// runOneByOne runs a survey on one shard with one worker, the baseline's
-// geometry.
+// runOneByOne runs a spilling survey on one shard with one worker, the
+// baseline's geometry.
 func runOneByOne(t *testing.T, cfg crawler.Config) *Result {
 	t.Helper()
-	res, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, Crawl: cfg}).Run(context.Background())
+	res, err := New(testWeb, testBind, Config{Shards: 1, WorkersPerShard: 1, SpillDir: t.TempDir(), Crawl: cfg}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// spilledLog reassembles the log held by the spill files a run committed.
+func spilledLog(t testing.TB, res *Result) *measure.Log {
+	t.Helper()
+	l, err := logstore.ReadSpillFiles(res.Spills...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func csvBytes(t testing.TB, l *measure.Log) []byte {
@@ -90,9 +102,10 @@ func csvBytes(t testing.TB, l *measure.Log) []byte {
 	return buf.Bytes()
 }
 
-// TestPipelineMatchesSequential is the determinism guarantee: the engine's
-// log, serialized, is byte-identical to the one-worker baseline's for the
-// same seed, across several shard/worker/batch/stripe geometries.
+// TestPipelineMatchesSequential is the determinism guarantee: the log the
+// engine's spill files hold, serialized, is byte-identical to the
+// one-worker baseline's for the same seed, across several
+// shard/worker/batch/stripe geometries.
 func TestPipelineMatchesSequential(t *testing.T) {
 	setup(t)
 	want := csvBytes(t, baseLog)
@@ -116,13 +129,14 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				WorkersPerShard: g.workers,
 				BatchSize:       g.batch,
 				Stripes:         g.stripes,
+				SpillDir:        t.TempDir(),
 				Crawl:           testCrawlConfig(),
 			})
 			res, err := eng.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
+			if got := csvBytes(t, spilledLog(t, res)); !bytes.Equal(got, want) {
 				t.Errorf("pipeline log differs from the 1x1 baseline (%d vs %d bytes)", len(got), len(want))
 			}
 			if *res.Stats != *baseStats {
@@ -135,15 +149,15 @@ func TestPipelineMatchesSequential(t *testing.T) {
 // TestFastPathMatchesSlowPath pins the browser's revisit fast path (DOM
 // template cloning, page/runtime pooling, precompiled selectors) to the
 // from-scratch load path: the same survey run with reuse disabled must
-// produce the byte-identical log and stats. The spill-only and sharded
-// determinism tests compare against the same baseline, so transitively every
-// engine mode is pinned to the slow path too.
+// produce the byte-identical log and stats. The sharded determinism tests
+// compare against the same baseline, so transitively every geometry is
+// pinned to the slow path too.
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	setup(t)
 	cfg := testCrawlConfig()
 	cfg.DisableBrowserReuse = true
 	slow := runOneByOne(t, cfg)
-	if got, want := csvBytes(t, slow.Log), csvBytes(t, baseLog); !bytes.Equal(got, want) {
+	if got, want := csvBytes(t, spilledLog(t, slow)), csvBytes(t, baseLog); !bytes.Equal(got, want) {
 		t.Errorf("slow-path log differs from fast-path baseline (%d vs %d bytes)", len(got), len(want))
 	}
 	if *slow.Stats != *baseStats {
@@ -174,7 +188,7 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 			cfg.DisableScriptCompile = m.noCompile
 			cfg.DisableMatcherIndex = m.noIndex
 			res := runOneByOne(t, cfg)
-			if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
+			if got := csvBytes(t, spilledLog(t, res)); !bytes.Equal(got, want) {
 				t.Errorf("ablated log differs from baseline (%d vs %d bytes)", len(got), len(want))
 			}
 			if *res.Stats != *baseStats {
@@ -191,13 +205,14 @@ func TestExecutionAblationsMatchBaseline(t *testing.T) {
 			WorkersPerShard: 2,
 			BatchSize:       8,
 			Stripes:         8,
+			SpillDir:        t.TempDir(),
 			Crawl:           cfg,
 		})
 		res, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := csvBytes(t, res.Log); !bytes.Equal(got, want) {
+		if got := csvBytes(t, spilledLog(t, res)); !bytes.Equal(got, want) {
 			t.Errorf("sharded ablated log differs from baseline (%d vs %d bytes)", len(got), len(want))
 		}
 		if *res.Stats != *baseStats {
@@ -234,13 +249,13 @@ func TestEachURLFetchedOnce(t *testing.T) {
 	for _, g := range []struct{ shards, workers int }{{1, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("%dx%d", g.shards, g.workers), func(t *testing.T) {
 			c := &fetchCounter{inner: webserver.DirectFetcher{Web: testWeb}, n: map[string]int{}}
-			eng := New(testWeb, testBind, Config{Shards: g.shards, WorkersPerShard: g.workers, Crawl: testCrawlConfig()})
+			eng := New(testWeb, testBind, Config{Shards: g.shards, WorkersPerShard: g.workers, SpillDir: t.TempDir(), Crawl: testCrawlConfig()})
 			eng.NewFetcher = func() webserver.Fetcher { return c }
 			res, err := eng.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(csvBytes(t, res.Log), csvBytes(t, baseLog)) {
+			if !bytes.Equal(csvBytes(t, spilledLog(t, res)), csvBytes(t, baseLog)) {
 				t.Error("log differs from the 1x1 baseline")
 			}
 			if len(c.n) == 0 {
@@ -316,6 +331,7 @@ func TestPipelineConcurrent(t *testing.T) {
 		WorkersPerShard: 3,
 		BatchSize:       1,
 		Stripes:         2,
+		SpillDir:        t.TempDir(),
 		Crawl:           testCrawlConfig(),
 	}
 	eng := New(testWeb, testBind, cfg)
@@ -326,7 +342,7 @@ func TestPipelineConcurrent(t *testing.T) {
 	if res.Stats.DomainsMeasured != baseStats.DomainsMeasured {
 		t.Errorf("measured = %d, want %d", res.Stats.DomainsMeasured, baseStats.DomainsMeasured)
 	}
-	if !bytes.Equal(csvBytes(t, res.Log), csvBytes(t, baseLog)) {
+	if !bytes.Equal(csvBytes(t, spilledLog(t, res)), csvBytes(t, baseLog)) {
 		t.Error("concurrent pipeline log differs from the 1x1 baseline")
 	}
 }
@@ -358,10 +374,10 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
-// TestPipelineSpill runs the engine with a spill directory and requires the
-// reassembled spill files to be byte-identical to both the engine's own log
-// and the 1x1 baseline: the spilled partial aggregates carry the entire
-// survey.
+// TestPipelineSpill runs the engine with a spill directory and requires
+// Result.Spills to name exactly the shard files it wrote, and those files
+// to reassemble into the 1x1 baseline: the spilled partial aggregates carry
+// the entire survey.
 func TestPipelineSpill(t *testing.T) {
 	setup(t)
 	dir := t.TempDir()
@@ -379,14 +395,10 @@ func TestPipelineSpill(t *testing.T) {
 	if err != nil || len(paths) != 3 {
 		t.Fatalf("expected 3 spill files, got %v (%v)", paths, err)
 	}
-	merged, err := logstore.ReadSpillFiles(paths...)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(res.Spills, paths) {
+		t.Errorf("Result.Spills = %v, want the shard files %v", res.Spills, paths)
 	}
-	if !bytes.Equal(csvBytes(t, merged), csvBytes(t, res.Log)) {
-		t.Error("merged spill differs from the engine's log")
-	}
-	if !bytes.Equal(csvBytes(t, merged), csvBytes(t, baseLog)) {
+	if !bytes.Equal(csvBytes(t, spilledLog(t, res)), csvBytes(t, baseLog)) {
 		t.Error("merged spill differs from the 1x1 baseline")
 	}
 }
@@ -406,6 +418,7 @@ func TestPipelineCache(t *testing.T) {
 			Shards:          2,
 			WorkersPerShard: 2,
 			Cache:           cache,
+			SpillDir:        t.TempDir(),
 			Crawl:           cfg,
 		})
 		res, err := eng.Run(context.Background())
@@ -424,7 +437,7 @@ func TestPipelineCache(t *testing.T) {
 	if coldStats.Hits != 0 || coldStats.Puts == 0 {
 		t.Fatalf("cold run should only populate: %+v", coldStats)
 	}
-	if !bytes.Equal(csvBytes(t, cold.Log), csvBytes(t, baseLog)) {
+	if !bytes.Equal(csvBytes(t, spilledLog(t, cold)), csvBytes(t, baseLog)) {
 		t.Error("cold cached run differs from the 1x1 baseline")
 	}
 
@@ -436,7 +449,7 @@ func TestPipelineCache(t *testing.T) {
 	if warmStats.Misses != coldStats.Misses {
 		t.Errorf("warm run missed %d times", warmStats.Misses-coldStats.Misses)
 	}
-	if !bytes.Equal(csvBytes(t, warm.Log), csvBytes(t, baseLog)) {
+	if !bytes.Equal(csvBytes(t, spilledLog(t, warm)), csvBytes(t, baseLog)) {
 		t.Error("warm cached run not byte-identical to the uncached log")
 	}
 
@@ -449,7 +462,7 @@ func TestPipelineCache(t *testing.T) {
 	if hits := widerStats.Hits - warmStats.Hits; hits != coldStats.Puts {
 		t.Errorf("superset run re-crawled cached visits: %d hits, want %d", hits, coldStats.Puts)
 	}
-	if got := len(res.Log.Cases[measure.CaseDefault].Rounds); got != wider.Rounds {
+	if got := len(spilledLog(t, res).Cases[measure.CaseDefault].Rounds); got != wider.Rounds {
 		t.Errorf("superset run produced %d rounds, want %d", got, wider.Rounds)
 	}
 }

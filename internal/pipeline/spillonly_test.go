@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -45,12 +44,11 @@ func renderHeadlines(a *analysis.Analysis, st *crawler.Stats, db *cve.Database, 
 	return buf.String()
 }
 
-// TestSpillOnlyMatchesInMemory is the spill-only acceptance test: at every
-// tested geometry, a spill-only run must render reports byte-identical to
-// the in-memory pipeline's (cold analysis of the baseline log), whether the
-// warm analysis is built from the live merged shard aggregates or from the
-// spill files via stats.FromSpills — and the spill files must still
-// reassemble into the byte-identical full log.
+// TestSpillOnlyMatchesInMemory is the aggregate's acceptance test: at every
+// tested geometry, a run must render reports byte-identical to the cold
+// analysis of the baseline log, whether the warm analysis is built from the
+// run's live aggregate or from its spill files via stats.FromSpills — and
+// the spill files must reassemble into the byte-identical full log.
 func TestSpillOnlyMatchesInMemory(t *testing.T) {
 	setup(t)
 	db := cve.Generate(1)
@@ -78,28 +76,24 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 				WorkersPerShard: g.workers,
 				BatchSize:       g.batch,
 				SpillDir:        dir,
-				SpillOnly:       true,
 				Crawl:           testCrawlConfig(),
 			})
 			res, err := eng.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Log != nil {
-				t.Fatal("spill-only run returned an in-memory log")
-			}
 			if *res.Stats != *baseStats {
-				t.Errorf("spill-only stats = %+v, want %+v", *res.Stats, *baseStats)
+				t.Errorf("stats = %+v, want %+v", *res.Stats, *baseStats)
 			}
 
 			warm := renderHeadlines(analysis.FromStats(res.Agg, testWeb.Registry), res.Stats, db, hist)
 			if warm != cold {
-				t.Error("live spill-only aggregate renders different reports than the in-memory pipeline")
+				t.Error("live aggregate renders different reports than the baseline log")
 			}
 
-			paths, err := filepath.Glob(filepath.Join(dir, "shard-*.spill"))
-			if err != nil || len(paths) != g.shards {
-				t.Fatalf("expected %d spill files, got %v (%v)", g.shards, paths, err)
+			paths := res.Spills
+			if len(paths) != g.shards {
+				t.Fatalf("expected %d spill files, got %v", g.shards, paths)
 			}
 			merged, err := stats.FromSpills(stats.StandardsOf(testWeb.Registry), testCrawlConfig().Cases, paths...)
 			if err != nil {
@@ -111,7 +105,7 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 			}
 			replayed := renderHeadlines(analysis.FromStats(merged, testWeb.Registry), spillStats, db, hist)
 			if replayed != cold {
-				t.Error("spill-merged aggregate renders different reports than the in-memory pipeline")
+				t.Error("spill-merged aggregate renders different reports than the baseline log")
 			}
 
 			// The spill files still carry the complete log.
@@ -126,9 +120,9 @@ func TestSpillOnlyMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillOnlyConcurrent exercises spill-only mode under the race
-// detector: many shards and workers, tiny batches, few stripes, plus the
-// post-run shard-aggregate merge.
+// TestSpillOnlyConcurrent exercises a run that keeps no spill files under
+// the race detector: many shards and workers, tiny batches, few stripes,
+// every worker folding into the one aggregate.
 func TestSpillOnlyConcurrent(t *testing.T) {
 	setup(t)
 	eng := New(testWeb, testBind, Config{
@@ -136,20 +130,22 @@ func TestSpillOnlyConcurrent(t *testing.T) {
 		WorkersPerShard: 3,
 		BatchSize:       1,
 		Stripes:         2,
-		SpillOnly:       true,
 		Crawl:           testCrawlConfig(),
 	})
 	res, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Spills != nil {
+		t.Errorf("a run without SpillDir reports spill files %v", res.Spills)
+	}
 	if *res.Stats != *baseStats {
-		t.Errorf("concurrent spill-only stats = %+v, want %+v", *res.Stats, *baseStats)
+		t.Errorf("concurrent stats = %+v, want %+v", *res.Stats, *baseStats)
 	}
 	cold := analysis.New(baseLog, testWeb.Registry)
 	warm := analysis.FromStats(res.Agg, testWeb.Registry)
 	if !reflect.DeepEqual(warm.FeatureSites(measure.CaseDefault), cold.FeatureSites(measure.CaseDefault)) {
-		t.Error("concurrent spill-only feature-site counts diverge from the baseline")
+		t.Error("concurrent feature-site counts diverge from the baseline")
 	}
 }
 
@@ -169,8 +165,8 @@ func TestWarmAnalysisMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Log == nil || res.Agg == nil {
-		t.Fatal("keep-log run should return both a log and an aggregate")
+	if res.Agg == nil {
+		t.Fatal("run returned no aggregate")
 	}
 
 	reg := testWeb.Registry

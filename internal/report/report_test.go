@@ -41,7 +41,7 @@ func surveyed(t testing.TB) (*analysis.Analysis, *synthweb.Web, *crawler.Stats) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedAna = analysis.New(res.Log, reg)
+	sharedAna = analysis.FromStats(res.Agg, reg)
 	sharedWeb = web
 	sharedStat = res.Stats
 	sharedHist = firefoxhist.New(reg)

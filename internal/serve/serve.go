@@ -214,7 +214,7 @@ func (s *Server) Coordinator(addr string, leaseSites int, heartbeat time.Duratio
 
 // LoadSpills folds spill files matching the glob into a published
 // aggregate sized for the study — the server's cold-start path from a
-// spill-only run.
+// pipeline run's spill directory.
 func LoadSpills(study *core.Study, glob string) (*stats.Aggregate, error) {
 	paths, err := core.SpillGlob(glob)
 	if err != nil {

@@ -41,7 +41,7 @@ func newStudy(t *testing.T, cfg core.Config) *core.Study {
 	return study
 }
 
-// runBatch runs the study spill-only, keeps the spill files, and renders
+// runBatch runs the study, keeps the spill files, and renders
 // the batch aggregate report — the ground truth byte-for-byte, plus the
 // cold-start input for a server.
 func runBatch(t *testing.T) (report []byte, spillGlob string) {
@@ -50,7 +50,6 @@ func runBatch(t *testing.T) (report []byte, spillGlob string) {
 	cfg := testStudyConfig()
 	cfg.Shards = 2
 	cfg.ShardWorkers = 2
-	cfg.SpillOnly = true
 	cfg.SpillDir = dir
 	study := newStudy(t, cfg)
 	results, err := study.RunSurvey()

@@ -34,7 +34,7 @@ func benchFeed(b *testing.B, agg *Aggregate) {
 	}
 }
 
-// BenchmarkAggregateAddVisit measures the spill-only feed path: per-visit
+// BenchmarkAggregateAddVisit measures the aggregate's feed path: per-visit
 // union folding plus the per-site retirement fold.
 func BenchmarkAggregateAddVisit(b *testing.B) {
 	b.ReportAllocs()

@@ -8,7 +8,7 @@ import (
 	"repro/internal/standards"
 )
 
-// FromLog folds a full measurement log into a fresh spill-only Aggregate by
+// FromLog folds a full measurement log into a fresh Aggregate by
 // replaying every recorded visit through the same AddVisit/AddFailure/
 // EndSite path a live shard uses, then restoring what a log keeps only in
 // total: each case's invocation and page sums and its round count. The

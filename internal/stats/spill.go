@@ -8,12 +8,11 @@ import (
 	"repro/internal/standards"
 )
 
-// FromSpills folds one or more spill files into a fresh spill-only
-// Aggregate by streaming records through the same AddVisit/AddFailure/
-// EndSite path a live pipeline shard uses — the full log is never
-// materialized, so memory stays bounded by in-flight sites (streams
-// written by the pipeline carry site-end markers; sites a stream never
-// closes are retired at EOF).
+// FromSpills folds one or more spill files into a fresh Aggregate by
+// streaming records through the same AddVisit/AddFailure/EndSite path a
+// live pipeline run uses — the full log is never materialized, so memory
+// stays bounded by in-flight sites (streams written by the pipeline carry
+// site-end markers; sites a stream never closes are retired at EOF).
 //
 // stdOf is the per-feature standard mapping (see StandardsOf) and must
 // match the spill files' corpus size. cases must cover every case the

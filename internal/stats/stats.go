@@ -17,10 +17,9 @@ import (
 // call that takes the visit (AddVisit, or Apply for a batch): it reads the
 // bitset, never writes it, and keeps no reference to it afterwards. A
 // site's per-case union starts as a clone of its first visit's set, a
-// default-case visit leaves behind only the round's standard set, and a
-// keep-log aggregate stores a clone in its grid. A caller may therefore
-// pass bitsets it still reads, such as a log's own cells, and may reuse or
-// overwrite a bitset as soon as the call returns.
+// default-case visit leaves behind only the round's standard set. A caller
+// may therefore pass bitsets it still reads, such as a log's own cells, and
+// may reuse or overwrite a bitset as soon as the call returns.
 type Visit struct {
 	Case        measure.Case
 	Round       int
@@ -56,18 +55,13 @@ type Config struct {
 	// Cases are the browser configurations the aggregate tracks, in the
 	// survey's canonical order. Visits for other cases are rejected.
 	Cases []measure.Case
-	// Rounds is the maximum round count; required with KeepLog (it sizes
-	// the per-visit grid), advisory otherwise.
+	// Rounds is read by nothing: rounds are counted as visits arrive, so an
+	// aggregate takes any round a visit names.
+	//
+	// Deprecated: leave it zero.
 	Rounds int
 	// Stripes is the lock-stripe count; default 16.
 	Stripes int
-	// KeepLog retains every visit's feature set so Log() can freeze the
-	// aggregate into a full measure.Log. Costs O(cases × rounds × sites)
-	// memory; spill-only pipelines leave it off.
-	KeepLog bool
-	// Domains[siteIndex] is the site's domain; required with KeepLog
-	// (the log records domains), ignored otherwise.
-	Domains []string
 }
 
 // StandardsOf extracts the per-feature standard mapping Config.Standards
@@ -116,10 +110,9 @@ type openSite struct {
 // Aggregate is the lock-striped, concurrently mergeable statistics form of
 // a survey. Producers feed it visits from many goroutines (calls for one
 // site must be ordered; see the package comment); afterwards its query
-// methods answer every aggregate question internal/analysis asks, and — in
-// keep-log mode — Log() freezes the exact measure.Log that recording every
-// visit in order would have built, because every grid cell is written by at
-// most one visit and all cross-visit state is commutative.
+// methods answer every aggregate question internal/analysis asks. It keeps
+// no visit's feature set past the visit's site: the full log of a survey
+// lives only in its spill files.
 type Aggregate struct {
 	cfg     Config
 	caseIdx map[measure.Case]int
@@ -164,13 +157,6 @@ type Aggregate struct {
 	caseSets  []uint64
 	seen, tmp []uint64
 
-	// Keep-log state: features[caseIdx][round][site] is the visit's
-	// feature set (guarded by the site's stripe lock); recorded/failed
-	// give a site's Measured flag: observed at least once, never failed.
-	features [][][]measure.Bitset
-	recorded []bool
-	failed   []bool
-
 	// Epoch-snapshot read path (snapshot.go). pubMu serializes snapshot
 	// publication with Merge, so every published snapshot reflects an
 	// integer number of completed merges; snap is the RCU pointer readers
@@ -196,14 +182,6 @@ func New(cfg Config) (*Aggregate, error) {
 	}
 	if cfg.Stripes <= 0 {
 		cfg.Stripes = 16
-	}
-	if cfg.KeepLog {
-		if len(cfg.Domains) != cfg.NumSites {
-			return nil, fmt.Errorf("stats: keep-log aggregate needs %d domains, got %d", cfg.NumSites, len(cfg.Domains))
-		}
-		if cfg.Rounds <= 0 {
-			return nil, fmt.Errorf("stats: keep-log aggregate requires a positive round count")
-		}
 	}
 	a := &Aggregate{
 		cfg:          cfg,
@@ -249,17 +227,6 @@ func New(cfg Config) (*Aggregate, error) {
 		}
 		a.stripes[si].open = make(map[int]*openSite)
 	}
-	if cfg.KeepLog {
-		a.features = make([][][]measure.Bitset, len(cfg.Cases))
-		for ci := range a.features {
-			a.features[ci] = make([][]measure.Bitset, cfg.Rounds)
-			for r := range a.features[ci] {
-				a.features[ci][r] = make([]measure.Bitset, cfg.NumSites)
-			}
-		}
-		a.recorded = make([]bool, cfg.NumSites)
-		a.failed = make([]bool, cfg.NumSites)
-	}
 	return a, nil
 }
 
@@ -277,8 +244,13 @@ func (a *Aggregate) validate(v Visit) error {
 	if v.Round < 0 {
 		return fmt.Errorf("stats: negative visit round %d", v.Round)
 	}
-	if a.cfg.KeepLog && v.Round >= a.cfg.Rounds {
-		return fmt.Errorf("stats: visit round %d outside the keep-log grid's %d rounds", v.Round, a.cfg.Rounds)
+	return nil
+}
+
+// checkSite rejects a site index outside the site list.
+func (a *Aggregate) checkSite(site int) error {
+	if site < 0 || site >= a.cfg.NumSites {
+		return fmt.Errorf("stats: site %d outside [0,%d)", site, a.cfg.NumSites)
 	}
 	return nil
 }
@@ -293,14 +265,11 @@ func (a *Aggregate) Apply(b Batch) error {
 			return err
 		}
 	}
-	for _, site := range b.Fails {
-		if site < 0 || site >= a.cfg.NumSites {
-			return fmt.Errorf("stats: site %d outside [0,%d)", site, a.cfg.NumSites)
-		}
-	}
-	for _, site := range b.Ends {
-		if site < 0 || site >= a.cfg.NumSites {
-			return fmt.Errorf("stats: site %d outside [0,%d)", site, a.cfg.NumSites)
+	for _, sites := range [][]int{b.Fails, b.Ends} {
+		for _, site := range sites {
+			if err := a.checkSite(site); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -324,24 +293,9 @@ func (a *Aggregate) Apply(b Batch) error {
 		a.applyFailLocked(st, site)
 		st.mu.Unlock()
 	}
-	if len(b.Ends) == 0 {
-		return nil
-	}
-	folds := make([]*openSite, 0, len(b.Ends))
 	for _, site := range b.Ends {
-		st := a.stripeOf(site)
-		st.mu.Lock()
-		if o := st.open[site]; o != nil {
-			delete(st.open, site)
-			folds = append(folds, o)
-		}
-		st.mu.Unlock()
+		a.endSite(site)
 	}
-	a.foldMu.Lock()
-	for _, o := range folds {
-		a.foldLocked(o)
-	}
-	a.foldMu.Unlock()
 	return nil
 }
 
@@ -359,8 +313,8 @@ func (a *Aggregate) AddVisit(v Visit) error {
 
 // AddFailure marks a site unmeasurable (one of its visits failed).
 func (a *Aggregate) AddFailure(site int) error {
-	if site < 0 || site >= a.cfg.NumSites {
-		return fmt.Errorf("stats: failure site %d outside [0,%d)", site, a.cfg.NumSites)
+	if err := a.checkSite(site); err != nil {
+		return err
 	}
 	st := a.stripeOf(site)
 	st.mu.Lock()
@@ -372,7 +326,26 @@ func (a *Aggregate) AddFailure(site int) error {
 // EndSite folds a completed site's accumulator into the derived tallies.
 // Ending a site that never produced a visit or failure is a no-op.
 func (a *Aggregate) EndSite(site int) error {
-	return a.Apply(Batch{Ends: []int{site}})
+	if err := a.checkSite(site); err != nil {
+		return err
+	}
+	a.endSite(site)
+	return nil
+}
+
+// endSite detaches a site's accumulator from its stripe and folds it.
+func (a *Aggregate) endSite(site int) {
+	st := a.stripeOf(site)
+	st.mu.Lock()
+	o := st.open[site]
+	delete(st.open, site)
+	st.mu.Unlock()
+	if o == nil {
+		return
+	}
+	a.foldMu.Lock()
+	a.foldLocked(o)
+	a.foldMu.Unlock()
 }
 
 // EndOpenSites folds every still-open site. FromSpills calls it after
@@ -426,10 +399,6 @@ func (a *Aggregate) applyVisitLocked(st *stripe, v Visit) {
 		}
 		a.standardSet(o.defStd[v.Round*w:(v.Round+1)*w], v.Features, nil)
 	}
-	if a.cfg.KeepLog {
-		a.features[ci][v.Round][v.Site] = v.Features.Clone()
-		a.recorded[v.Site] = true
-	}
 }
 
 func (a *Aggregate) applyFailLocked(st *stripe, site int) {
@@ -439,9 +408,6 @@ func (a *Aggregate) applyFailLocked(st *stripe, site int) {
 		st.open[site] = o
 	}
 	o.failed = true
-	if a.cfg.KeepLog {
-		a.failed[site] = true
-	}
 }
 
 // foldLocked retires one site: its per-case unions become feature- and
@@ -738,52 +704,10 @@ func (a *Aggregate) Totals() (invocations, pages int64) {
 	return invocations, pages
 }
 
-// Log freezes a keep-log aggregate into a measure.Log identical to the one
-// the single-threaded oracle loop (the repository's TestOracleMatchesGolden)
-// records for the same seed: per-case round counts grow only as far as data
-// was recorded, and a site is Measured exactly when it produced at least
-// one observation and never failed a visit. It
-// returns nil for spill-only aggregates, which never held the grid.
-//
-// Log must only be called after all producers have finished.
-func (a *Aggregate) Log() *measure.Log {
-	if !a.cfg.KeepLog {
-		return nil
-	}
-	l := measure.NewLog(a.cfg.NumFeatures, a.cfg.Domains)
-	for ci, cs := range a.cfg.Cases {
-		maxRound := -1
-		for si := range a.stripes {
-			if mr := a.stripes[si].maxRound[ci]; mr > maxRound {
-				maxRound = mr
-			}
-		}
-		if maxRound < 0 {
-			continue
-		}
-		l.EnsureRound(cs, maxRound)
-		cl := l.Cases[cs]
-		for r := 0; r <= maxRound; r++ {
-			copy(cl.Rounds[r].SiteFeatures, a.features[ci][r])
-		}
-		for si := range a.stripes {
-			cl.Invocations += a.stripes[si].invocations[ci]
-			cl.PagesVisited += a.stripes[si].pages[ci]
-		}
-	}
-	for site := range a.cfg.Domains {
-		l.Measured[site] = a.recorded[site] && !a.failed[site]
-	}
-	return l
-}
-
 // Merge folds other into a: the mergeable-aggregate operation behind
-// spill-only shard merging and distributed shards reporting home. Both
-// aggregates must describe the same study (features, sites, cases, mode)
-// and must have no open sites — end them first. Tallies add and per-site
-// standard sets are ORed. Keep-log merges additionally require the two
-// grids to cover disjoint cells (the pipeline's site partitioning
-// guarantees it); overlapping cells are overwritten, not detected.
+// distributed leases reporting home. Both aggregates must describe the
+// same study (features, sites, cases, standards) and must have no open
+// sites — end them first. Tallies add and per-site standard sets are ORed.
 //
 // Merges are serialized with each other and with snapshot publication, and
 // every successful merge publishes a fresh Snapshot — so concurrent readers
@@ -809,13 +733,6 @@ func (a *Aggregate) Merge(other *Aggregate) error {
 		// agree for the sum to mean anything.
 		return fmt.Errorf("stats: merging aggregates with different standard tables (%d vs %d standards)",
 			len(other.stdNames), len(a.stdNames))
-	}
-	if other.cfg.KeepLog != a.cfg.KeepLog {
-		return fmt.Errorf("stats: merging a keep-log aggregate with a spill-only one")
-	}
-	if a.cfg.KeepLog && a.cfg.Rounds != other.cfg.Rounds {
-		return fmt.Errorf("stats: merging keep-log aggregates with different round counts (%d vs %d)",
-			other.cfg.Rounds, a.cfg.Rounds)
 	}
 	if n := a.OpenSites(); n > 0 {
 		return fmt.Errorf("stats: aggregate has %d open sites; end them before merging", n)
@@ -869,22 +786,6 @@ func (a *Aggregate) Merge(other *Aggregate) error {
 	other.foldMu.Unlock()
 	a.foldMu.Unlock()
 
-	if a.cfg.KeepLog {
-		for ci := range a.cfg.Cases {
-			for r := range a.features[ci] {
-				dst, src := a.features[ci][r], other.features[ci][r]
-				for site, sf := range src {
-					if sf != nil {
-						dst[site] = sf
-					}
-				}
-			}
-		}
-		for site := range a.recorded {
-			a.recorded[site] = a.recorded[site] || other.recorded[site]
-			a.failed[site] = a.failed[site] || other.failed[site]
-		}
-	}
 	a.publishLocked()
 	return nil
 }

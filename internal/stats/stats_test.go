@@ -33,7 +33,6 @@ func tConfig() Config {
 		NumSites:    tNumSites,
 		Standards:   tStandards(),
 		Cases:       []measure.Case{measure.CaseDefault, measure.CaseBlocking},
-		Rounds:      tRounds,
 		Stripes:     4,
 	}
 }
@@ -315,11 +314,6 @@ func TestAggregateValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Error("New accepted duplicate cases")
 	}
-	cfg = tConfig()
-	cfg.KeepLog = true
-	if _, err := New(cfg); err == nil {
-		t.Error("New accepted keep-log without domains")
-	}
 
 	agg, err := New(tConfig())
 	if err != nil {
@@ -375,23 +369,6 @@ func TestMergeRejectsMismatches(t *testing.T) {
 	d, _ := New(cfg)
 	if err := a.Merge(d); err == nil {
 		t.Error("Merge accepted a different case set")
-	}
-	cfg = tConfig()
-	cfg.KeepLog = true
-	cfg.Domains = make([]string, cfg.NumSites)
-	e, _ := New(cfg)
-	if err := a.Merge(e); err == nil {
-		t.Error("Merge accepted a keep-log aggregate into a spill-only one")
-	}
-
-	// Keep-log grids are sized by Rounds; differing round counts must be
-	// rejected, not walked off the end of.
-	f, _ := New(cfg)
-	cfg2 := cfg
-	cfg2.Rounds++
-	g, _ := New(cfg2)
-	if err := f.Merge(g); err == nil {
-		t.Error("Merge accepted keep-log aggregates with different round counts")
 	}
 }
 
@@ -541,15 +518,13 @@ func answersOf(s Source) sourceAnswers {
 // borrows Features for the call. A survey over all four cases, with rounds
 // arriving out of order and failed sites, is fed twice: once with fresh
 // clones, and once through one bitset that is overwritten right after each
-// call. Both aggregates, keep-log and spill-only, fed visit by visit or in
-// batches, must answer every Source query, and Log, identically.
+// call. Both aggregates, fed visit by visit or in batches, must answer
+// every Source query identically.
 func TestAddVisitBorrowsFeatures(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := measure.AllCases()
-	domains := make([]string, tNumSites)
 	var sites []tSiteEvents
-	for site := range domains {
-		domains[site] = "site.example"
+	for site := 0; site < tNumSites; site++ {
 		ev := tSiteEvents{site: site}
 		for _, cs := range cases {
 			for _, round := range rng.Perm(tRounds) {
@@ -570,54 +545,47 @@ func TestAddVisitBorrowsFeatures(t *testing.T) {
 		sites = append(sites, ev)
 	}
 
-	for _, keepLog := range []bool{false, true} {
-		for _, batched := range []bool{false, true} {
-			cfg := tConfig()
-			cfg.Cases = cases
-			cfg.KeepLog = keepLog
-			cfg.Domains = domains
-			fresh, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			borrowed, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scratch := measure.NewBitset(tNumFeatures)
-			for _, ev := range sites {
-				for _, v := range ev.visits {
-					clone := v
-					clone.Features = v.Features.Clone()
-					if err := fresh.AddVisit(clone); err != nil {
-						t.Fatal(err)
-					}
-					copy(scratch, v.Features)
-					v.Features = scratch
-					if batched {
-						err = borrowed.Apply(Batch{Visits: []Visit{v}})
-					} else {
-						err = borrowed.AddVisit(v)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range scratch {
-						scratch[i] = ^uint64(0)
-					}
+	for _, batched := range []bool{false, true} {
+		cfg := tConfig()
+		cfg.Cases = cases
+		fresh, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		borrowed, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch := measure.NewBitset(tNumFeatures)
+		for _, ev := range sites {
+			for _, v := range ev.visits {
+				clone := v
+				clone.Features = v.Features.Clone()
+				if err := fresh.AddVisit(clone); err != nil {
+					t.Fatal(err)
 				}
-				for _, a := range []*Aggregate{fresh, borrowed} {
-					if err := a.Apply(Batch{Fails: ev.fails, Ends: []int{ev.site}}); err != nil {
-						t.Fatal(err)
-					}
+				copy(scratch, v.Features)
+				v.Features = scratch
+				if batched {
+					err = borrowed.Apply(Batch{Visits: []Visit{v}})
+				} else {
+					err = borrowed.AddVisit(v)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range scratch {
+					scratch[i] = ^uint64(0)
 				}
 			}
-			if got, want := answersOf(borrowed), answersOf(fresh); !reflect.DeepEqual(got, want) {
-				t.Errorf("keepLog=%v batched=%v: aggregate fed a reused bitset answers differently:\n got %+v\nwant %+v", keepLog, batched, got, want)
+			for _, a := range []*Aggregate{fresh, borrowed} {
+				if err := a.Apply(Batch{Fails: ev.fails, Ends: []int{ev.site}}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got, want := borrowed.Log(), fresh.Log(); !reflect.DeepEqual(got, want) {
-				t.Errorf("keepLog=%v batched=%v: Log of the aggregate fed a reused bitset differs", keepLog, batched)
-			}
+		}
+		if got, want := answersOf(borrowed), answersOf(fresh); !reflect.DeepEqual(got, want) {
+			t.Errorf("batched=%v: aggregate fed a reused bitset answers differently:\n got %+v\nwant %+v", batched, got, want)
 		}
 	}
 }
